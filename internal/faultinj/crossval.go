@@ -80,10 +80,8 @@ func staticEstimate(r *kernels.Runner, tool Tool, scalar bool) (*analysis.Estima
 
 	combined := &analysis.Estimate{Name: r.Name, Scalar: scalar, PerClass: make(map[isa.Class]*analysis.ClassEstimate)}
 	var tw, sdcW, dueW, deadW float64
-	for i, l := range inst.Launches {
-		a := analysis.AnalyzeLaunch(l.Prog, &analysis.Bounds{
-			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
-		})
+	for i := range inst.Launches {
+		a := r.LaunchAnalysis(i)
 		w := a.OpWeights(profiles[i].PerOpLane)
 		var e *analysis.Estimate
 		if scalar {

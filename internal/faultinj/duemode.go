@@ -51,10 +51,8 @@ func StaticDUEModes(r *kernels.Runner, tool Tool) (*analysis.DUEModeEstimate, er
 			r.Name, len(profiles), len(inst.Launches))
 	}
 	combined := &analysis.DUEModeEstimate{Name: r.Name}
-	for i, l := range inst.Launches {
-		a := analysis.AnalyzeLaunch(l.Prog, &analysis.Bounds{
-			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
-		})
+	for i := range inst.Launches {
+		a := r.LaunchAnalysis(i)
 		e := a.DUEModeEstimate(a.OpWeights(profiles[i].PerOpLane), filter)
 		if e.Weight == 0 {
 			continue

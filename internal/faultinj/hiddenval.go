@@ -51,8 +51,13 @@ func StaticHidden(r *kernels.Runner) *analysis.HiddenEstimate {
 	profiles := r.GoldenProfiles()
 	ests := make([]*analysis.HiddenEstimate, 0, len(inst.Launches))
 	weights := make([]float64, 0, len(inst.Launches))
-	for i, l := range inst.Launches {
-		a := analysis.Analyze(l.Prog)
+	for i := range inst.Launches {
+		// The shared analysis is bounds-seeded, but HiddenEstimate and
+		// OpWeights read only Prog, CFG and DefUse, which AnalyzeLaunch
+		// builds from the program alone before the seeded forward pass:
+		// the estimate equals that of the unbounded analysis.Analyze
+		// (TestStaticEstimatorsMatchFreshAnalysis pins this).
+		a := r.LaunchAnalysis(i)
 		var w []float64
 		lw := 1.0
 		if i < len(profiles) {

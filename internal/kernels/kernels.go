@@ -11,8 +11,10 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
+	"gpurel/internal/analysis"
 	"gpurel/internal/asm"
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
@@ -184,10 +186,20 @@ type Runner struct {
 	// fault fires, cuts off at the first golden image its state rejoins.
 	images [][]*sim.LaunchImage
 
+	// analyses[i] memoizes the static analysis of launch i (see
+	// LaunchAnalysis); it lives and dies with the runner.
+	analyses []launchAnalysis
+
 	// Replay accounting (read via ReplayStats; atomic because campaigns
 	// call RunWithFault from many goroutines).
 	subRestores atomic.Uint64 // replays started from a sub-launch image
 	subRejoins  atomic.Uint64 // replays cut off at a sub-launch rejoin
+}
+
+// launchAnalysis is one launch's lazily computed analysis.
+type launchAnalysis struct {
+	once sync.Once
+	res  *analysis.Result
 }
 
 // ImageBudgetBytes caps the approximate memory spent on sub-launch
@@ -207,6 +219,7 @@ func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel)
 	}
 	r.inst = inst
 	r.pool = mem.NewPool(inst.Global.CapacityBytes())
+	r.analyses = make([]launchAnalysis, len(inst.Launches))
 	// Sub-launch images cost roughly one global snapshot plus resident
 	// block state apiece; divide the budget across launches and skip
 	// recording where fewer than two images would fit.
@@ -352,6 +365,24 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 		return TrialRecord{Outcome: DUE}, err
 	}
 	return rec, nil
+}
+
+// LaunchAnalysis returns the static analysis of launch i, its forward
+// pass seeded with the launch geometry. The first call runs
+// analysis.AnalyzeLaunch; every later call, from any goroutine, returns
+// that same result. The launch index fixes both the program and the
+// bounds, and neither changes after the build, so the memo never goes
+// stale. Callers must treat the result as read-only: every static
+// estimator of the runner shares it.
+func (r *Runner) LaunchAnalysis(i int) *analysis.Result {
+	a := &r.analyses[i]
+	a.once.Do(func() {
+		l := r.inst.Launches[i]
+		a.res = analysis.AnalyzeLaunch(l.Prog, &analysis.Bounds{
+			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
+		})
+	})
+	return a.res
 }
 
 // ReplayStats reports how often faulted replays used the sub-launch

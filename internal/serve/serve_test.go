@@ -312,7 +312,7 @@ func TestCheckScriptUnknownTier(t *testing.T) {
 	if !strings.Contains(text, "unknown tier") {
 		t.Fatalf("guard output does not name the problem:\n%s", text)
 	}
-	for _, tier := range []string{"full", "bench", "crossval", "opt", "artifacts", "serve"} {
+	for _, tier := range []string{"full", "bench", "crossval", "opt", "artifacts", "serve", "perf"} {
 		if !strings.Contains(text, tier) {
 			t.Fatalf("guard output does not list tier %q:\n%s", tier, text)
 		}
@@ -324,7 +324,7 @@ func TestCheckScriptUnknownTier(t *testing.T) {
 // is too heavy for a unit test, so this exercises the dispatcher alone
 // via a dry-run marker the script honors before doing any work.
 func TestCheckScriptKnownTiersStillParse(t *testing.T) {
-	for _, tier := range []string{"", "full", "bench", "crossval", "opt", "artifacts", "serve", "patterns", "duemode"} {
+	for _, tier := range []string{"", "full", "bench", "crossval", "opt", "artifacts", "serve", "patterns", "duemode", "perf"} {
 		cmd := exec.Command("sh", "../../scripts/check.sh", tier)
 		cmd.Env = append(cmd.Environ(), "CHECK_SH_PARSE_ONLY=1")
 		out, err := cmd.CombinedOutput()

@@ -17,6 +17,9 @@
 #                               static-vs-injection DUE-mode tests, then the
 #                               gpurel-lint agreement gate; rendered table lands
 #                               at duemode-gate-table.txt
+#   scripts/check.sh perf       static-analysis speed smoke: one perfbench run of
+#                               the static workload; fails unless it is correct
+#                               with no failed operations
 #
 # Unknown tier names fail immediately (exit 1) rather than silently
 # running tier 1 — a typo'd "scripts/check.sh crosval" in CI must not
@@ -40,10 +43,10 @@ cd "$(dirname "$0")/.."
 
 tier="${1:-}"
 case "$tier" in
-    ""|full|bench|crossval|opt|artifacts|serve|patterns|duemode) ;;
+    ""|full|bench|crossval|opt|artifacts|serve|patterns|duemode|perf) ;;
     *)
         echo "check.sh: unknown tier \"$tier\"" >&2
-        echo "known tiers: <none> (tier 1), full, bench, crossval, opt, artifacts, serve, patterns, duemode" >&2
+        echo "known tiers: <none> (tier 1), full, bench, crossval, opt, artifacts, serve, patterns, duemode, perf" >&2
         exit 1
         ;;
 esac
@@ -193,6 +196,29 @@ if [ "$tier" = "duemode" ]; then
         exit 1
     fi
     cat duemode-gate-table.txt
+    echo "checks passed"
+    exit 0
+fi
+
+if [ "$tier" = "perf" ]; then
+    # Static-analysis speed smoke: one untraced run of the perfbench
+    # static workload (every injection-free estimator and the lint over
+    # all 58 suite runners). It is not a timing gate — timings need
+    # paired same-host runs (perfbench/README.md) — but it fails unless
+    # the run's output checks pass with no failed operation, and its
+    # result line records wall_s for the log. With each launch analyzed
+    # once per runner it takes a few seconds; a run far slower than that
+    # points at the analysis memo.
+    echo "== bash perfbench/run.sh --workload static --seed 1 --seconds 30 --trace 0"
+    result="$(bash perfbench/run.sh --workload static --seed 1 --seconds 30 --trace 0 | tail -n 1)"
+    echo "$result"
+    case "$result" in
+        *'"correct":true,'*'"failed":0,'*) ;;
+        *)
+            echo "PERF GATE: the static workload failed its output checks or an operation (see above)"
+            exit 1
+            ;;
+    esac
     echo "checks passed"
     exit 0
 fi
