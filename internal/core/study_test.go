@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"gpurel/internal/device"
@@ -213,6 +215,31 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	if got.Dev.Name != ds.Dev.Name {
 		t.Fatal("device lost")
+	}
+	if len(ds.TwoLevel) == 0 || len(ds.OptMatrix) == 0 {
+		t.Fatalf("study has %d two-level estimates and %d matrices; the round trip checks nothing",
+			len(ds.TwoLevel), len(ds.OptMatrix))
+	}
+	// Everything CheckAgreement reads must survive the round trip
+	// exactly, so a verdict over the saved JSON equals the verdict over
+	// the in-memory study.
+	for _, sec := range []struct {
+		name      string
+		want, got any
+	}{
+		{"StaticAVF", ds.StaticAVF, got.StaticAVF},
+		{"ScalarAVF", ds.ScalarAVF, got.ScalarAVF},
+		{"StaticDUEModes", ds.StaticDUEModes, got.StaticDUEModes},
+		{"TwoLevel", ds.TwoLevel, got.TwoLevel},
+		{"OptMatrix", ds.OptMatrix, got.OptMatrix},
+		{"AVF[NVBitFI]", ds.AVF[faultinj.NVBitFI], got.AVF[faultinj.NVBitFI]},
+	} {
+		if !reflect.DeepEqual(sec.want, sec.got) {
+			t.Errorf("%s altered by the round trip", sec.name)
+		}
+	}
+	if want, have := fmt.Sprint(ds.CheckAgreement()), fmt.Sprint(got.CheckAgreement()); want != have {
+		t.Errorf("verdict changed by the round trip:\nsaved:  %s\nloaded: %s", want, have)
 	}
 	if len(got.Profiles) != len(ds.Profiles) || len(got.Beam) != len(ds.Beam) ||
 		len(got.Predictions) != len(ds.Predictions) || len(got.MicroBeam) != len(ds.MicroBeam) {

@@ -149,19 +149,20 @@ func CrossValidateDUEModes(cfg Config, name string, build kernels.Builder, dev *
 	if err != nil {
 		return nil, err
 	}
-	return PairDUEModes(runner, cfg.Tool, dev.Name, dyn)
-}
-
-// PairDUEModes computes the static side against an existing campaign
-// result (sharing the caller's runner and golden profiles).
-func PairDUEModes(runner *kernels.Runner, tool Tool, devName string, dyn *Result) (*DUEModeCrossVal, error) {
-	st, err := StaticDUEModes(runner, tool)
+	st, err := StaticDUEModes(runner, cfg.Tool)
 	if err != nil {
 		return nil, err
 	}
+	return PairDUEModes(name, cfg.Tool, dev.Name, st, dyn), nil
+}
+
+// PairDUEModes pairs an existing static mode estimate with an existing
+// campaign result, so a persisted study can be cross-validated without
+// rebuilding its runner.
+func PairDUEModes(name string, tool Tool, devName string, st *analysis.DUEModeEstimate, dyn *Result) *DUEModeCrossVal {
 	return &DUEModeCrossVal{
-		Name: runner.Name, Tool: tool, Device: devName,
+		Name: name, Tool: tool, Device: devName,
 		Static: st, StaticMix: staticDUEMix(st),
 		DynamicMix: dyn.DUEModes.Mix(), DynamicDUEs: dyn.DUEModes.DUEs(),
-	}, nil
+	}
 }

@@ -471,42 +471,6 @@ func DUEModesTable(ds *core.DeviceStudy, csv bool) string {
 		"DUE-mode taxonomy on %s (static proven shares vs typed campaign DUEs; dues column is sites for the static rows)", ds.Dev.Name))
 }
 
-// DUEModeCrossValidation renders the static-vs-injection DUE-mode
-// agreement table: both share distributions side by side, the
-// L-infinity delta, and the tolerance verdict. Campaigns below
-// faultinj.DUEModeMinDUEs typed DUEs are marked unmeasurable and agree
-// vacuously.
-func DUEModeCrossValidation(cvs []*faultinj.DUEModeCrossVal, csv bool) string {
-	t := &table{header: []string{"code", "device",
-		"st hang", "st ill", "st sync", "st unattr",
-		"dyn hang", "dyn ill", "dyn sync", "dyn unattr",
-		"delta", "dues", "within tol"}}
-	for _, cv := range cvs {
-		agree := "yes"
-		switch {
-		case !cv.Measurable():
-			agree = "n/a"
-		case !cv.Agrees():
-			agree = "NO"
-		}
-		t.add(cv.Name, cv.Device,
-			fmt.Sprintf("%.3f", cv.StaticMix.Hang),
-			fmt.Sprintf("%.3f", cv.StaticMix.IllegalAddress),
-			fmt.Sprintf("%.3f", cv.StaticMix.SyncError),
-			fmt.Sprintf("%.3f", cv.StaticMix.Unattributed),
-			fmt.Sprintf("%.3f", cv.DynamicMix.Hang),
-			fmt.Sprintf("%.3f", cv.DynamicMix.IllegalAddress),
-			fmt.Sprintf("%.3f", cv.DynamicMix.SyncError),
-			fmt.Sprintf("%.3f", cv.DynamicMix.Unattributed),
-			fmt.Sprintf("%.3f", cv.Delta()),
-			fmt.Sprintf("%d", cv.DynamicDUEs),
-			agree)
-	}
-	return finish(t, csv, fmt.Sprintf(
-		"Static vs injection DUE-mode shares (L-inf tolerance %.2f, measurable at >= %d typed DUEs)",
-		faultinj.DUEModeTolerance, faultinj.DUEModeMinDUEs))
-}
-
 // patternsRow appends one ledger row to the patterns table.
 func patternsRow(t *table, code, model string, l patterns.Ledger) {
 	if l.SDCs() == 0 {
@@ -770,38 +734,15 @@ func BitBandTable(cvs []*faultinj.CrossValidation, csv bool) string {
 		"Static vs injection AVF by bit band (low/mid/high thirds + sign of the destination window)")
 }
 
-// studyCrossVals pairs each NVBitFI campaign stored in a device study
-// with its persisted static estimates, in sorted code order so the
-// rendered artifact is byte-stable.
-func studyCrossVals(ds *core.DeviceStudy) []*faultinj.CrossValidation {
-	byCode := ds.AVF[faultinj.NVBitFI]
-	var names []string
-	for name := range byCode {
-		if ds.StaticAVF[name] != nil {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	cvs := make([]*faultinj.CrossValidation, 0, len(names))
-	for _, name := range names {
-		cvs = append(cvs, &faultinj.CrossValidation{
-			Name: name, Tool: faultinj.NVBitFI, Device: ds.Dev.Name,
-			Static: ds.StaticAVF[name], Scalar: ds.ScalarAVF[name],
-			Dynamic: byCode[name],
-		})
-	}
-	return cvs
-}
-
 // CrossValTable renders the study's static-vs-injection table from the
 // estimates and campaigns the study already holds (no extra runs).
 func CrossValTable(ds *core.DeviceStudy, csv bool) string {
-	return CrossValidation(studyCrossVals(ds), csv)
+	return CrossValidation(ds.CrossVals(), csv)
 }
 
 // StudyBitBand renders the study's per-bit-band agreement table.
 func StudyBitBand(ds *core.DeviceStudy, csv bool) string {
-	return BitBandTable(studyCrossVals(ds), csv)
+	return BitBandTable(ds.CrossVals(), csv)
 }
 
 // HiddenCrossValidation renders the static- and measured-versus-beam

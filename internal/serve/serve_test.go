@@ -312,9 +312,24 @@ func TestCheckScriptUnknownTier(t *testing.T) {
 	if !strings.Contains(text, "unknown tier") {
 		t.Fatalf("guard output does not name the problem:\n%s", text)
 	}
-	for _, tier := range []string{"full", "bench", "crossval", "opt", "artifacts", "serve", "perf"} {
+	for _, tier := range []string{"full", "bench", "artifacts", "serve", "perf"} {
 		if !strings.Contains(text, tier) {
 			t.Fatalf("guard output does not list tier %q:\n%s", tier, text)
+		}
+	}
+
+	// The retired agreement tiers are verdicts over the committed study
+	// now (core.TestCommittedStudyAgreement); a stale CI step naming one
+	// must fail, not pass without checking anything.
+	for _, tier := range []string{"crossval", "opt", "patterns", "duemode"} {
+		cmd := exec.Command("sh", "../../scripts/check.sh", tier)
+		cmd.Env = append(cmd.Environ(), "CHECK_SH_PARSE_ONLY=1")
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Fatalf("check.sh %s: err %v (output %q), want exit 1", tier, err, out)
+		}
+		if !strings.Contains(string(out), "unknown tier") {
+			t.Fatalf("check.sh %s: output does not name the problem:\n%s", tier, out)
 		}
 	}
 }
@@ -324,7 +339,7 @@ func TestCheckScriptUnknownTier(t *testing.T) {
 // is too heavy for a unit test, so this exercises the dispatcher alone
 // via a dry-run marker the script honors before doing any work.
 func TestCheckScriptKnownTiersStillParse(t *testing.T) {
-	for _, tier := range []string{"", "full", "bench", "crossval", "opt", "artifacts", "serve", "patterns", "duemode", "perf"} {
+	for _, tier := range []string{"", "full", "bench", "artifacts", "serve", "perf"} {
 		cmd := exec.Command("sh", "../../scripts/check.sh", tier)
 		cmd.Env = append(cmd.Environ(), "CHECK_SH_PARSE_ONLY=1")
 		out, err := cmd.CombinedOutput()
