@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math"
+
 	"gpurel/internal/isa"
 )
 
@@ -598,44 +600,55 @@ func (bf *bitflow) forward() {
 // ace.go's noisy-or combine, carried independently per destination bit,
 // with the forward facts deciding which bits an edge can actually move.
 func (bf *bitflow) propagateVec() []ACEVector {
-	p := bf.p
-	n := len(p.Instrs)
-	vec := make([]ACEVector, n)
+	vec := bf.newACEVectors()
+	var missSDC, missDUE [64]float64
+	bf.backwardFixpoint(func(i int) (bool, bool) {
+		return bf.stepVec(i, vec, &missSDC, &missDUE)
+	})
+	return vec
+}
+
+// newACEVectors returns the all-masked starting point of propagateVec.
+func (bf *bitflow) newACEVectors() []ACEVector {
+	vec := make([]ACEVector, len(bf.p.Instrs))
 	for i := range vec {
 		vec[i].Width = bf.widthOf(i)
 	}
-	const eps = 1e-9
-	var missSDC, missDUE [64]float64
-	for iter := 0; iter < 400; iter++ {
-		changed := false
-		for i := n - 1; i >= 0; i-- {
-			w := vec[i].Width
-			if w == 0 {
-				continue
-			}
-			for b := 0; b < w; b++ {
-				missSDC[b], missDUE[b] = 1, 1
-			}
-			for _, e := range bf.du.Out[i] {
-				bf.edgeContrib(i, e, vec, w, &missSDC, &missDUE)
-			}
-			for b := 0; b < w; b++ {
-				sdc, due := 1-missSDC[b], 1-missDUE[b]
-				if t := sdc + due; t > 1 {
-					sdc /= t
-					due /= t
-				}
-				if abs(sdc-vec[i].SDC[b]) > eps || abs(due-vec[i].DUE[b]) > eps {
-					changed = true
-				}
-				vec[i].SDC[b], vec[i].DUE[b] = sdc, due
-			}
-		}
-		if !changed {
-			break
-		}
-	}
 	return vec
+}
+
+// stepVec re-evaluates definition i's vector from its uses' current
+// vectors and stores it. changed reports a bit that moved by more than
+// the convergence eps; moved reports any change of the stored bits.
+func (bf *bitflow) stepVec(i int, vec []ACEVector, missSDC, missDUE *[64]float64) (changed, moved bool) {
+	const eps = 1e-9
+	w := vec[i].Width
+	if w == 0 {
+		return false, false
+	}
+	for b := 0; b < w; b++ {
+		missSDC[b], missDUE[b] = 1, 1
+	}
+	for _, e := range bf.du.Out[i] {
+		bf.edgeContrib(i, e, vec, w, missSDC, missDUE)
+	}
+	v := &vec[i]
+	for b := 0; b < w; b++ {
+		sdc, due := 1-missSDC[b], 1-missDUE[b]
+		if t := sdc + due; t > 1 {
+			sdc /= t
+			due /= t
+		}
+		if abs(sdc-v.SDC[b]) > eps || abs(due-v.DUE[b]) > eps {
+			changed = true
+		}
+		if math.Float64bits(sdc) != math.Float64bits(v.SDC[b]) ||
+			math.Float64bits(due) != math.Float64bits(v.DUE[b]) {
+			moved = true
+		}
+		v.SDC[b], v.DUE[b] = sdc, due
+	}
+	return changed, moved
 }
 
 // edgeContrib folds one def-use edge of definition i into the per-bit

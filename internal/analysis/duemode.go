@@ -1,6 +1,10 @@
 package analysis
 
-import "gpurel/internal/isa"
+import (
+	"math"
+
+	"gpurel/internal/isa"
+)
 
 // Static DUE-mode classification: a second backward pass over the
 // def-use graph that splits every site's per-bit DUE probability
@@ -142,63 +146,73 @@ func backedgeBodyMem(p *isa.Program) []bool {
 // propagateModes runs the mode-split fixpoint over the authoritative
 // DUE vectors.
 func (bf *bitflow) propagateModes(vec []ACEVector) []DUEModeVec {
-	p := bf.p
-	n := len(p.Instrs)
-	mv := make([]DUEModeVec, n)
+	mv := newModeVecs(vec)
+	inDiv := divRegions(bf.p)
+	bodyMem := backedgeBodyMem(bf.p)
+	var miss [ModeCount][64]float64
+	bf.backwardFixpoint(func(i int) (bool, bool) {
+		return bf.stepModes(i, vec, mv, inDiv, bodyMem, &miss)
+	})
+	return mv
+}
+
+// newModeVecs returns the all-zero starting point of propagateModes.
+func newModeVecs(vec []ACEVector) []DUEModeVec {
+	mv := make([]DUEModeVec, len(vec))
 	for i := range mv {
 		mv[i].Width = vec[i].Width
 	}
-	inDiv := divRegions(p)
-	bodyMem := backedgeBodyMem(p)
+	return mv
+}
+
+// stepModes re-evaluates definition i's mode split from its uses'
+// current splits and stores it, with stepVec's changed/moved report.
+func (bf *bitflow) stepModes(i int, vec []ACEVector, mv []DUEModeVec, inDiv, bodyMem []bool,
+	miss *[ModeCount][64]float64) (changed, moved bool) {
 	const eps = 1e-9
-	var miss [ModeCount][64]float64
-	for iter := 0; iter < 400; iter++ {
-		changed := false
-		for i := n - 1; i >= 0; i-- {
-			w := mv[i].Width
-			if w == 0 {
-				continue
-			}
-			for m := range miss {
-				for b := 0; b < w; b++ {
-					miss[m][b] = 1
-				}
-			}
-			for _, e := range bf.du.Out[i] {
-				bf.modeEdgeContrib(i, e, mv, inDiv, bodyMem, w, &miss)
-			}
-			for b := 0; b < w; b++ {
-				var raw [ModeCount]float64
-				var tot float64
-				for m := range raw {
-					raw[m] = 1 - miss[m][b]
-					tot += raw[m]
-				}
-				due := vec[i].DUE[b]
-				var next [ModeCount]float64
-				if tot > 0 {
-					for m := range raw {
-						next[m] = due * (raw[m] / tot)
-					}
-				} else if due > 0 {
-					// No routed channel claims this bit's DUE mass (every
-					// mechanism proof fired, or the site only reaches DUE
-					// through edges the router cannot type): residual.
-					next[ModeUnattributed] = due
-				}
-				for m := range next {
-					if abs(next[m]-mv[i].Ch[m][b]) > eps {
-						changed = true
-					}
-					mv[i].Ch[m][b] = next[m]
-				}
-			}
-		}
-		if !changed {
-			break
+	w := mv[i].Width
+	if w == 0 {
+		return false, false
+	}
+	for m := range miss {
+		for b := 0; b < w; b++ {
+			miss[m][b] = 1
 		}
 	}
-	return mv
+	for _, e := range bf.du.Out[i] {
+		bf.modeEdgeContrib(i, e, mv, inDiv, bodyMem, w, miss)
+	}
+	v := &mv[i]
+	for b := 0; b < w; b++ {
+		var raw [ModeCount]float64
+		var tot float64
+		for m := range raw {
+			raw[m] = 1 - miss[m][b]
+			tot += raw[m]
+		}
+		due := vec[i].DUE[b]
+		var next [ModeCount]float64
+		if tot > 0 {
+			for m := range raw {
+				next[m] = due * (raw[m] / tot)
+			}
+		} else if due > 0 {
+			// No routed channel claims this bit's DUE mass (every
+			// mechanism proof fired, or the site only reaches DUE
+			// through edges the router cannot type): residual.
+			next[ModeUnattributed] = due
+		}
+		for m := range next {
+			if abs(next[m]-v.Ch[m][b]) > eps {
+				changed = true
+			}
+			if math.Float64bits(next[m]) != math.Float64bits(v.Ch[m][b]) {
+				moved = true
+			}
+			v.Ch[m][b] = next[m]
+		}
+	}
+	return changed, moved
 }
 
 // modeEdgeContrib folds one def-use edge into the per-mode miss

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpurel/internal/core"
@@ -383,7 +384,6 @@ func (s *Server) loadCheckpoint(id string) (*Campaign, error) {
 // maps to one plan, and outcome tallies are order-free sums.
 func (c *Campaign) run() {
 	c.srv.metrics.campaignsActive.Add(1)
-	defer c.srv.metrics.campaignsActive.Add(-1)
 
 	c.mu.Lock()
 	c.started = time.Now()
@@ -466,9 +466,18 @@ func (c *Campaign) run() {
 	// The checkpoint of a finished campaign is stale; remove it so the
 	// spool only holds resumable state.
 	os.Remove(c.checkpointPath())
-	c.signalLocked()
+	c.finishLocked(&c.srv.metrics.campaignsCompleted)
 	c.mu.Unlock()
-	c.srv.metrics.campaignsCompleted.Add(1)
+}
+
+// finishLocked ends the campaign's run: it bumps the terminal counter,
+// drops the active gauge, and only then wakes the watchers, so a waiter
+// woken by the terminal state always reads final /metrics. Callers hold
+// c.mu and have set the terminal state.
+func (c *Campaign) finishLocked(terminal *atomic.Uint64) {
+	terminal.Add(1)
+	c.srv.metrics.campaignsActive.Add(-1)
+	c.signalLocked()
 }
 
 // acquireRunner gets the shared runner from the cache (building it and
@@ -629,8 +638,7 @@ func (c *Campaign) fail(err error) {
 	c.state = StateFailed
 	c.errMsg = err.Error()
 	c.runnerRef = nil
-	c.signalLocked()
+	c.finishLocked(&c.srv.metrics.campaignsFailed)
 	c.mu.Unlock()
-	c.srv.metrics.campaignsFailed.Add(1)
 	c.srv.logf("campaign %s failed: %v", c.ID, err)
 }

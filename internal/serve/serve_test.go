@@ -12,6 +12,7 @@ import (
 
 	"gpurel/internal/asm"
 	"gpurel/internal/device"
+	"gpurel/internal/faultinj"
 	"gpurel/internal/suite"
 )
 
@@ -190,29 +191,60 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 
 func TestHTTPMetrics(t *testing.T) {
 	s, ts := testHTTPServer(t)
+	metrics := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return buf.String()
+	}
+	requireMetrics := func(body string, wants ...string) {
+		t.Helper()
+		for _, want := range wants {
+			if !strings.Contains(body, want+"\n") {
+				t.Errorf("metrics missing %q:\n%s", want, body)
+			}
+		}
+	}
+
 	c, err := s.Create(Request{Code: "FMXM", Device: "volta", TargetWidth: 0.3, Seed: 2, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, c)
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	body := buf.String()
-	for _, want := range []string{
+	// The terminal counters and the active gauge settle before Done is
+	// signalled, so the first read after the wake-up is already final.
+	body := metrics()
+	requireMetrics(body,
+		"gpurel_campaigns_active 0",
 		"gpurel_campaigns_completed 1",
-		"gpurel_trials_total",
-		"gpurel_trials_per_sec",
+		"gpurel_campaigns_failed 0",
 		"gpurel_runner_cache_misses 1",
-	} {
+	)
+	for _, want := range []string{"gpurel_trials_total", "gpurel_trials_per_sec"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
 	}
+
+	// A campaign whose runner cannot be built fails; Create validates
+	// the code, so start the engine on an unknown one directly.
+	req := Request{Code: "NOSUCH", Device: "volta"}
+	req.defaults()
+	bad := newCampaign("cbad", req, faultinj.NVBitFI, s)
+	go bad.run()
+	if st := waitFor(t, bad, "failure", func(s Status) bool { return s.Done() }); st.State != StateFailed {
+		t.Fatalf("campaign on an unknown code ended %q, want %q", st.State, StateFailed)
+	}
+	requireMetrics(metrics(),
+		"gpurel_campaigns_active 0",
+		"gpurel_campaigns_completed 1",
+		"gpurel_campaigns_failed 1",
+	)
 }
 
 func TestHTTPPprofGate(t *testing.T) {

@@ -55,16 +55,17 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
     # Two stages. First a one-iteration smoke pass over every substrate
-    # benchmark (compiles-and-runs coverage, no timing claims). Then the
-    # timed per-fault gate: re-time the BenchmarkSimPerFault* suite,
-    # emit the snapshot JSON benchdiff consumes (bench-new.json; stable
-    # path, gitignored, uploaded by CI), and compare it against the
+    # and static-analysis benchmark (compiles-and-runs coverage, no
+    # timing claims). Then the timed per-fault gate: re-time the
+    # BenchmarkSimPerFault* suite, emit the snapshot JSON benchdiff
+    # consumes (bench-new.json; stable path, gitignored, uploaded by
+    # CI), and compare it against the
     # committed BENCH_v0.json baseline. The band is wide (see
     # tools/benchdiff) because CI runners are not the snapshot machine;
     # it exists to catch algorithmic regressions of the replay path,
     # not single-digit-percent noise.
-    echo "== go test -run=^\$ -bench=BenchmarkSim -benchtime=1x ./..."
-    go test -run='^$' -bench=BenchmarkSim -benchtime=1x ./...
+    echo "== go test -run=^\$ -bench='BenchmarkSim|BenchmarkAnalyze' -benchtime=1x ./..."
+    go test -run='^$' -bench='BenchmarkSim|BenchmarkAnalyze' -benchtime=1x ./...
     echo "== go test -run=^\$ -bench=BenchmarkSimPerFault -benchtime=2s -count=3 ."
     go test -run='^$' -bench=BenchmarkSimPerFault -benchtime=2s -count=3 . >bench-run.txt
     cat bench-run.txt
@@ -115,8 +116,10 @@ if [ "$tier" = "perf" ]; then
     # paired same-host runs (perfbench/README.md) — but it fails unless
     # the run's output checks pass with no failed operation, and its
     # result line records wall_s for the log. With each launch analyzed
-    # once per runner it takes a few seconds; a run far slower than that
-    # points at the analysis memo.
+    # once per runner and the backward fixpoints re-evaluating only stale
+    # definitions it takes a few seconds; a run far slower than that
+    # points at the analysis memo (kernels.Runner.LaunchAnalysis) or at
+    # the fixpoint's stale set (internal/analysis/stale.go).
     echo "== bash perfbench/run.sh --workload static --seed 1 --seconds 30 --trace 0"
     result="$(bash perfbench/run.sh --workload static --seed 1 --seconds 30 --trace 0 | tail -n 1)"
     echo "$result"
