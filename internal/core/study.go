@@ -25,6 +25,7 @@ import (
 	"gpurel/internal/fit"
 	"gpurel/internal/kernels"
 	"gpurel/internal/microbench"
+	"gpurel/internal/par"
 	"gpurel/internal/profiler"
 	"gpurel/internal/stats"
 	"gpurel/internal/suite"
@@ -100,83 +101,6 @@ func splitWorkers(total, n int) (outer, inner int) {
 		inner = 1
 	}
 	return outer, inner
-}
-
-// forEach runs fn(i) for i in [0, n) with at most `parallel` concurrent
-// calls and returns the first error.
-func forEach(n, parallel int, fn func(i int) error) error {
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > n {
-		parallel = n
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	work := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return firstErr
-}
-
-// runnerCache builds each (workload, opt level) runner at most once per
-// device study and shares its golden run, profiles, and launch-boundary
-// snapshots across the profiling, injection, and beam phases.
-type runnerCache struct {
-	dev *device.Device
-	mu  sync.Mutex
-	m   map[runnerKey]*runnerEntry
-}
-
-type runnerKey struct {
-	name string
-	opt  asm.OptLevel
-}
-
-type runnerEntry struct {
-	once sync.Once
-	r    *kernels.Runner
-	err  error
-}
-
-func newRunnerCache(dev *device.Device) *runnerCache {
-	return &runnerCache{dev: dev, m: make(map[runnerKey]*runnerEntry)}
-}
-
-// get returns the shared runner for (name, opt), building it on first
-// use. Concurrent callers for the same key block on one build.
-func (c *runnerCache) get(name string, build kernels.Builder, opt asm.OptLevel) (*kernels.Runner, error) {
-	key := runnerKey{name, opt}
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &runnerEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.r, e.err = kernels.NewRunner(name, build, c.dev, opt)
-	})
-	return e.r, e.err
 }
 
 // BeamKey identifies one beam configuration of a workload.
@@ -318,8 +242,8 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		DUEMeasuredUnderestimate:  make(map[bool]float64),
 	}
 
-	cache := newRunnerCache(dev)
-	var mu sync.Mutex // guards the ds maps and micro accumulators
+	cache := kernels.NewCache(0) // the study keeps every runner it builds
+	var mu sync.Mutex            // guards the ds maps and micro accumulators
 
 	// 1. Micro-benchmark beam campaigns (Figure 3). ECC is enabled for
 	// all micro-benchmarks except RF (§V-B). Micros run concurrently;
@@ -331,9 +255,9 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	var rfExposedBytes int
 	micros := microbench.Catalog(dev)
 	outer, innerW := splitWorkers(opts.Workers, len(micros))
-	err := forEach(len(micros), outer, func(i int) error {
+	err := par.ForEach(len(micros), outer, func(i int) error {
 		m := micros[i]
-		r, err := cache.get(m.Name, m.Build, asm.O2)
+		r, err := cache.Get(m.Name, m.Build, dev, asm.O2)
 		if err != nil {
 			return fmt.Errorf("core: micro %s: %w", m.Name, err)
 		}
@@ -375,7 +299,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		if dev.Arch == device.Kepler {
 			tool = faultinj.Sassifi
 		}
-		ir, err := cache.get(m.Name, m.Build, tool.OptLevel())
+		ir, err := cache.Get(m.Name, m.Build, dev, tool.OptLevel())
 		if err != nil {
 			return fmt.Errorf("core: micro %s at %s opt: %w", m.Name, tool, err)
 		}
@@ -403,9 +327,9 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	// 2. Profiling (Table I, Figure 1), concurrent across codes.
 	entries := suite.ForDevice(dev)
 	outer, _ = splitWorkers(opts.Workers, len(entries))
-	err = forEach(len(entries), outer, func(i int) error {
+	err = par.ForEach(len(entries), outer, func(i int) error {
 		e := entries[i]
-		r, err := cache.get(e.Name, e.Build, asm.O2)
+		r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
 		if err != nil {
 			return fmt.Errorf("core: profiling %s: %w", e.Name, err)
 		}
@@ -448,9 +372,9 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		}
 	}
 	outer, innerW = splitWorkers(opts.Workers, len(injJobs))
-	err = forEach(len(injJobs), outer, func(i int) error {
+	err = par.ForEach(len(injJobs), outer, func(i int) error {
 		j := injJobs[i]
-		r, err := cache.get(j.e.Name, j.e.Build, j.tool.OptLevel())
+		r, err := cache.Get(j.e.Name, j.e.Build, dev, j.tool.OptLevel())
 		if err != nil {
 			return fmt.Errorf("core: %s on %s: %w", j.tool, j.e.Name, err)
 		}
@@ -506,21 +430,18 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 			matrixJobs = append(matrixJobs, e)
 		}
 	}
-	runnerFor := func(name string, build kernels.Builder, _ *device.Device, opt asm.OptLevel) (*kernels.Runner, error) {
-		return cache.get(name, build, opt)
-	}
 	outer, innerW = splitWorkers(opts.Workers, len(matrixJobs))
-	err = forEach(len(matrixJobs), outer, func(i int) error {
+	err = par.ForEach(len(matrixJobs), outer, func(i int) error {
 		e := matrixJobs[i]
 		m, err := faultinj.RunOptMatrix(faultinj.OptMatrixConfig{
 			Faults: opts.OptFaults, Workers: innerW,
 			Seed: opts.Seed ^ hash(e.Name) ^ 0x097a11e1,
-		}, e.Name, e.Build, dev, runnerFor)
+		}, e.Name, e.Build, dev, cache.Get)
 		if err != nil {
 			return fmt.Errorf("core: opt matrix %s: %w", e.Name, err)
 		}
 		for _, cell := range m.Cells {
-			r, err := cache.get(e.Name, e.Build, cell.Opt)
+			r, err := cache.Get(e.Name, e.Build, dev, cell.Opt)
 			if err != nil {
 				return err
 			}
@@ -553,9 +474,9 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		}
 	}
 	outer, innerW = splitWorkers(opts.Workers, len(tlJobs))
-	err = forEach(len(tlJobs), outer, func(i int) error {
+	err = par.ForEach(len(tlJobs), outer, func(i int) error {
 		e := tlJobs[i]
-		r, err := cache.get(e.Name, e.Build, faultinj.NVBitFI.OptLevel())
+		r, err := cache.Get(e.Name, e.Build, dev, faultinj.NVBitFI.OptLevel())
 		if err != nil {
 			return fmt.Errorf("core: two-level %s: %w", e.Name, err)
 		}
@@ -581,13 +502,13 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	// (code, ECC) configurations.
 	keys := BeamConfigs(dev, entries)
 	outer, innerW = splitWorkers(opts.Workers, len(keys))
-	err = forEach(len(keys), outer, func(i int) error {
+	err = par.ForEach(len(keys), outer, func(i int) error {
 		key := keys[i]
 		e, err := suite.Find(entries, key.Code)
 		if err != nil {
 			return err
 		}
-		r, err := cache.get(e.Name, e.Build, asm.O2)
+		r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
 		if err != nil {
 			return err
 		}

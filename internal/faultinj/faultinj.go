@@ -20,14 +20,13 @@ package faultinj
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"gpurel/internal/analysis"
 	"gpurel/internal/asm"
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
+	"gpurel/internal/par"
 	"gpurel/internal/patterns"
 	"gpurel/internal/sim"
 	"gpurel/internal/stats"
@@ -109,6 +108,39 @@ func (t *Tally) Count(ob patterns.Observation) {
 	}
 	t.Patterns.Count(ob)
 	t.DUEModes.Count(ob)
+}
+
+// Check reports a tally whose counters contradict each other, as one
+// read back from disk may: a negative counter, outcomes that do not sum
+// to Injected, or a ledger whose total differs from its outcome count.
+func (t *Tally) Check() error {
+	p, d := t.Patterns, t.DUEModes
+	if err := partition("outcomes", t.Injected, t.SDC, t.DUE, t.Masked); err != nil {
+		return err
+	}
+	if err := partition("patterns", t.SDC, p.Single, p.SameRow, p.SameCol, p.Block, p.Scattered, p.Unclassified); err != nil {
+		return err
+	}
+	if err := partition("pattern magnitudes", t.SDC-p.Unclassified, p.Critical, p.Tolerable); err != nil {
+		return err
+	}
+	return partition("due_modes", t.DUE, d.Hang, d.IllegalAddress, d.SyncError, d.Unattributed)
+}
+
+// partition checks that non-negative parts sum to total, without
+// overflowing on hostile values.
+func partition(what string, total int, parts ...int) error {
+	rest := total
+	for _, n := range parts {
+		if n < 0 || n > rest {
+			return fmt.Errorf("%s %v do not partition %d", what, parts, total)
+		}
+		rest -= n
+	}
+	if rest != 0 {
+		return fmt.Errorf("%s %v do not partition %d", what, parts, total)
+	}
+	return nil
 }
 
 // Finalize computes the Wilson proportions from the counters.
@@ -486,41 +518,17 @@ func sampleSite(rng *stats.RNG, perLaunch []uint64, total uint64) (int, uint64) 
 // simulated crash, which classifies as DUE) aborts the campaign: it must
 // surface to the caller rather than be counted as any outcome.
 func runPlans(cfg Config, r *kernels.Runner, plans []plan) ([]kernels.TrialRecord, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	records := make([]kernels.TrialRecord, len(plans))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				rec, err := r.RunTrialWithFault(plans[i].fault, plans[i].launch)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("faultinj: %s plan %d (%s): %w",
-							r.Name, i, plans[i].mode, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				records[i] = rec
-			}
-		}()
-	}
-	for i := range plans {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := par.ForEach(len(plans), cfg.Workers, func(i int) error {
+		rec, err := r.RunTrialWithFault(plans[i].fault, plans[i].launch)
+		if err != nil {
+			return fmt.Errorf("faultinj: %s plan %d (%s): %w", r.Name, i, plans[i].mode, err)
+		}
+		records[i] = rec
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return records, nil
 }

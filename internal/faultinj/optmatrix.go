@@ -63,7 +63,7 @@ type OptMatrixConfig struct {
 
 // RunnerFor builds (or fetches from a cache) the runner for one
 // workload at one configuration. RunOptMatrix accepts one so callers
-// with a runner cache (internal/core) pay each golden run once.
+// with a runner cache (kernels.Cache.Get) pay each golden run once.
 type RunnerFor func(name string, build kernels.Builder, dev *device.Device, opt asm.OptLevel) (*kernels.Runner, error)
 
 // RunOptMatrix runs the optimization matrix for one workload: per

@@ -1,12 +1,13 @@
 package kernels
 
 import (
-	"sync"
+	"fmt"
 	"testing"
 
 	"gpurel/internal/asm"
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
+	"gpurel/internal/par"
 	"gpurel/internal/sim"
 	"gpurel/internal/stats"
 )
@@ -250,31 +251,22 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 		}
 		seq[i] = out
 	}
-	par := make([]Outcome, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				par[i], errs[i] = r.RunWithFault(clonePlan(plans[i]), 0)
-			}
-		}()
-	}
-	for i := range plans {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	for i := range plans {
-		if errs[i] != nil {
-			t.Fatalf("parallel plan %d: %v", i, errs[i])
+	pooled := make([]Outcome, n)
+	err = par.ForEach(n, 8, func(i int) error {
+		out, err := r.RunWithFault(clonePlan(plans[i]), 0)
+		if err != nil {
+			return fmt.Errorf("parallel plan %d: %w", i, err)
 		}
-		if par[i] != seq[i] {
+		pooled[i] = out
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plans {
+		if pooled[i] != seq[i] {
 			t.Errorf("plan %d (kind %v trigger %d): sequential %v, 8-worker %v",
-				i, plans[i].Kind, plans[i].TriggerIndex, seq[i], par[i])
+				i, plans[i].Kind, plans[i].TriggerIndex, seq[i], pooled[i])
 		}
 	}
 }

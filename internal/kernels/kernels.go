@@ -204,9 +204,8 @@ type launchAnalysis struct {
 
 // ImageBudgetBytes caps the approximate memory spent on sub-launch
 // images per Runner; the per-launch image count is scaled down to fit.
-// The serve-layer runner cache reuses it as the unit its own budget is
-// expressed in: one budget's worth of cache holds roughly one
-// image-saturated runner.
+// The daemon's budget for the runner Cache is expressed in this unit:
+// one budget's worth of cache holds roughly one image-saturated runner.
 const ImageBudgetBytes = 64 << 20
 
 // NewRunner builds the workload once, performs the golden run, and

@@ -12,6 +12,7 @@ import (
 	"gpurel/internal/faultinj"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
+	"gpurel/internal/par"
 	"gpurel/internal/patterns"
 	"gpurel/internal/stats"
 )
@@ -148,18 +149,24 @@ type ClassCounts struct {
 	DUEModes patterns.DUELedger `json:"due_modes"`
 }
 
-// classProgress is the engine's per-class accumulator.
+// classProgress is the engine's per-class accumulator: the class's
+// outcome tally plus its sampler and stop state.
 type classProgress struct {
-	class    isa.Class
-	sampler  *faultinj.ClassSampler // nil while paused / before build
-	trials   int
-	sdc      int
-	due      int
-	masked   int
-	patterns patterns.Ledger
-	dueModes patterns.DUELedger
-	stopped  bool
-	capHit   bool
+	faultinj.Tally
+	class   isa.Class
+	sampler *faultinj.ClassSampler // nil while paused / before build
+	stopped bool
+	capHit  bool
+}
+
+// counts is the class's deterministic tallies, as /counts and the
+// checkpoint carry them.
+func (cp *classProgress) counts() ClassCounts {
+	return ClassCounts{
+		Class: cp.class.String(), Trials: cp.Injected,
+		SDC: cp.SDC, DUE: cp.DUE, Masked: cp.Masked,
+		Patterns: cp.Patterns, DUEModes: cp.DUEModes,
+	}
 }
 
 // Campaign is one adaptively-stopped injection campaign owned by a
@@ -219,20 +226,20 @@ func (c *Campaign) Status() Status {
 		State:       c.state, Error: c.errMsg,
 	}
 	for _, cp := range c.classes {
-		sdcIv := stats.Wilson(cp.sdc, cp.trials)
-		dueIv := stats.Wilson(cp.due, cp.trials)
+		sdcIv := stats.Wilson(cp.SDC, cp.Injected)
+		dueIv := stats.Wilson(cp.DUE, cp.Injected)
 		st.Classes = append(st.Classes, ClassStatus{
 			Class:  cp.class.String(),
-			Trials: cp.trials, SDC: cp.sdc, DUE: cp.due, Masked: cp.masked,
+			Trials: cp.Injected, SDC: cp.SDC, DUE: cp.DUE, Masked: cp.Masked,
 			SDCLower: sdcIv.Lower, SDCUpper: sdcIv.Upper,
 			DUELower: dueIv.Lower, DUEUpper: dueIv.Upper,
 			SDCWidth: sdcIv.Width(), DUEWidth: dueIv.Width(),
 			Stopped: cp.stopped, CapHit: cp.capHit,
 		})
-		st.Trials += cp.trials
-		st.SDC += cp.sdc
-		st.DUE += cp.due
-		st.Masked += cp.masked
+		st.Trials += cp.Injected
+		st.SDC += cp.SDC
+		st.DUE += cp.DUE
+		st.Masked += cp.Masked
 	}
 	st.BaselineTrials = len(c.classes) * stats.WorstCaseTrials(c.req.TargetWidth)
 	el := c.elapsed
@@ -257,11 +264,7 @@ func (c *Campaign) Counts() Counts {
 		Tool: c.tool.String(), Seed: c.req.Seed,
 	}
 	for _, cp := range c.classes {
-		out.Classes = append(out.Classes, ClassCounts{
-			Class: cp.class.String(), Trials: cp.trials,
-			SDC: cp.sdc, DUE: cp.due, Masked: cp.masked,
-			Patterns: cp.patterns, DUEModes: cp.dueModes,
-		})
+		out.Classes = append(out.Classes, cp.counts())
 	}
 	return out
 }
@@ -325,11 +328,7 @@ func (c *Campaign) checkpointPath() string {
 func (c *Campaign) checkpointLocked() error {
 	ck := checkpointJSON{ID: c.ID, Request: c.req, Tool: c.tool.String()}
 	for _, cp := range c.classes {
-		ck.Classes = append(ck.Classes, ClassCounts{
-			Class: cp.class.String(), Trials: cp.trials,
-			SDC: cp.sdc, DUE: cp.due, Masked: cp.masked,
-			Patterns: cp.patterns, DUEModes: cp.dueModes,
-		})
+		ck.Classes = append(ck.Classes, cp.counts())
 		if cp.stopped {
 			ck.Stopped = append(ck.Stopped, cp.class.String())
 		}
@@ -340,37 +339,81 @@ func (c *Campaign) checkpointLocked() error {
 	return core.WriteJSONAtomic(c.checkpointPath(), ck)
 }
 
+// validID reports whether id has the shape Create mints ("c" and six
+// digits). Only such IDs may name a spool file: anything else could
+// reach outside the spool directory.
+func validID(id string) bool {
+	if len(id) != 7 || id[0] != 'c' {
+		return false
+	}
+	for _, ch := range id[1:] {
+		if ch < '0' || ch > '9' {
+			return false
+		}
+	}
+	return true
+}
+
 // loadCheckpoint reads a checkpoint back into a fresh Campaign in the
-// paused state.
+// paused state. The file is outside input: it is rejected unless its
+// ID is the one it is filed under, its request is valid, and every
+// class's counts are consistent with each other and the request's cap.
 func (s *Server) loadCheckpoint(id string) (*Campaign, error) {
+	if !validID(id) {
+		return nil, fmt.Errorf("serve: %q is not a campaign ID", id)
+	}
+	path := filepath.Join(s.opts.SpoolDir, id+".json")
 	var ck checkpointJSON
-	if err := core.ReadJSON(filepath.Join(s.opts.SpoolDir, id+".json"), &ck); err != nil {
+	if err := core.ReadJSON(path, &ck); err != nil {
 		return nil, err
 	}
-	tool, err := parseTool(ck.Tool)
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("serve: checkpoint %s: %s", path, fmt.Sprintf(format, args...))
+	}
+	if ck.ID != id {
+		return nil, bad("names campaign %q", ck.ID)
+	}
+	tool, err := validate(&ck.Request)
 	if err != nil {
-		return nil, err
+		return nil, bad("%v", err)
+	}
+	if ck.Tool != tool.String() {
+		return nil, bad("tool %q, but its request asks for %s", ck.Tool, tool)
 	}
 	c := newCampaign(ck.ID, ck.Request, tool, s)
-	stopped := make(map[string]bool)
-	for _, n := range ck.Stopped {
-		stopped[n] = true
-	}
-	capHit := make(map[string]bool)
-	for _, n := range ck.CapHit {
-		capHit[n] = true
-	}
+	classes := make(map[string]*classProgress)
 	for _, cc := range ck.Classes {
 		class, err := faultinj.ClassByName(cc.Class)
 		if err != nil {
-			return nil, fmt.Errorf("serve: checkpoint %s: %w", id, err)
+			return nil, bad("%v", err)
 		}
-		c.classes = append(c.classes, &classProgress{
-			class: class, trials: cc.Trials,
-			sdc: cc.SDC, due: cc.DUE, masked: cc.Masked,
-			patterns: cc.Patterns, dueModes: cc.DUEModes,
-			stopped: stopped[cc.Class], capHit: capHit[cc.Class],
-		})
+		if classes[cc.Class] != nil {
+			return nil, bad("class %s listed twice", cc.Class)
+		}
+		cp := &classProgress{class: class, Tally: faultinj.Tally{
+			Injected: cc.Trials, SDC: cc.SDC, DUE: cc.DUE, Masked: cc.Masked,
+			Patterns: cc.Patterns, DUEModes: cc.DUEModes,
+		}}
+		if err := cp.Check(); err != nil {
+			return nil, bad("class %s: %v", cc.Class, err)
+		}
+		if cp.Injected > ck.Request.MaxTrials {
+			return nil, bad("class %s: %d trials over max_trials %d", cc.Class, cp.Injected, ck.Request.MaxTrials)
+		}
+		classes[cc.Class] = cp
+		c.classes = append(c.classes, cp)
+	}
+	for _, n := range ck.Stopped {
+		if classes[n] == nil {
+			return nil, bad("stopped class %s is not in the checkpoint", n)
+		}
+		classes[n].stopped = true
+	}
+	for _, n := range ck.CapHit {
+		if classes[n] == nil {
+			return nil, bad("cap_hit class %s is not in the checkpoint", n)
+		}
+		classes[n].capHit = true
 	}
 	c.state = StatePaused
 	return c, nil
@@ -532,14 +575,14 @@ func (c *Campaign) scheduleRound() []*trialJob {
 		if cp.stopped {
 			continue
 		}
-		end := cp.trials + c.req.Batch
+		end := cp.Injected + c.req.Batch
 		if end > c.req.MaxTrials {
 			end = c.req.MaxTrials
 		}
-		for i := cp.trials; i < end; i++ {
+		for i := cp.Injected; i < end; i++ {
 			jobs = append(jobs, &trialJob{ci: ci, index: uint64(i)})
 		}
-		if end >= c.req.MaxTrials && cp.trials >= c.req.MaxTrials {
+		if end >= c.req.MaxTrials && cp.Injected >= c.req.MaxTrials {
 			// Defensive: a class at cap should have been marked stopped
 			// by settleRound already.
 			cp.stopped, cp.capHit = true, true
@@ -548,10 +591,10 @@ func (c *Campaign) scheduleRound() []*trialJob {
 	return jobs
 }
 
-// runRound executes the scheduled trials across the worker pool,
-// bounded by the campaign's Workers and the server's global simulation
-// semaphore. The first infrastructure error aborts the campaign —
-// a failed trial is not an outcome.
+// runRound executes the scheduled trials across at most Workers
+// goroutines, each trial also holding a slot of the server's global
+// simulation semaphore. The first infrastructure error aborts the
+// campaign — a failed trial is not an outcome.
 func (c *Campaign) runRound(jobs []*trialJob) error {
 	c.mu.Lock()
 	runner := c.runnerRef
@@ -562,34 +605,19 @@ func (c *Campaign) runRound(jobs []*trialJob) error {
 	}
 	c.mu.Unlock()
 
-	sem := make(chan struct{}, c.req.Workers)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for _, job := range jobs {
-		wg.Add(1)
-		go func(job *trialJob) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c.srv.simSem <- struct{}{}
-			defer func() { <-c.srv.simSem }()
-			plan, launch := samplers[job.ci].Plan(seed, job.index)
-			rec, err := runner.RunTrialWithFault(plan, launch)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("serve: campaign %s trial %d: %w", c.ID, job.index, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			job.rec = rec
-			c.srv.metrics.TrialDone()
-		}(job)
-	}
-	wg.Wait()
-	return firstErr
+	return par.ForEach(len(jobs), c.req.Workers, func(i int) error {
+		job := jobs[i]
+		c.srv.simSem <- struct{}{}
+		defer func() { <-c.srv.simSem }()
+		plan, launch := samplers[job.ci].Plan(seed, job.index)
+		rec, err := runner.RunTrialWithFault(plan, launch)
+		if err != nil {
+			return fmt.Errorf("serve: campaign %s trial %d: %w", c.ID, job.index, err)
+		}
+		job.rec = rec
+		c.srv.metrics.TrialDone()
+		return nil
+	})
 }
 
 // settleRound folds the round's outcomes into the class tallies and
@@ -600,33 +628,21 @@ func (c *Campaign) settleRound(jobs []*trialJob) {
 		geo = c.runnerRef.Instance().Output
 	}
 	for _, job := range jobs {
-		cp := c.classes[job.ci]
-		cp.trials++
-		ob := patterns.Observe(job.rec, geo)
-		cp.patterns.Count(ob)
-		cp.dueModes.Count(ob)
-		switch job.rec.Outcome {
-		case kernels.SDC:
-			cp.sdc++
-		case kernels.DUE:
-			cp.due++
-		default:
-			cp.masked++
-		}
+		c.classes[job.ci].Count(patterns.Observe(job.rec, geo))
 	}
 	for _, cp := range c.classes {
 		if cp.stopped {
 			continue
 		}
-		if cp.trials >= c.req.MinTrials {
-			sdcW := stats.Wilson(cp.sdc, cp.trials).Width()
-			dueW := stats.Wilson(cp.due, cp.trials).Width()
+		if cp.Injected >= c.req.MinTrials {
+			sdcW := stats.Wilson(cp.SDC, cp.Injected).Width()
+			dueW := stats.Wilson(cp.DUE, cp.Injected).Width()
 			if sdcW <= c.req.TargetWidth && dueW <= c.req.TargetWidth {
 				cp.stopped = true
 				continue
 			}
 		}
-		if cp.trials >= c.req.MaxTrials {
+		if cp.Injected >= c.req.MaxTrials {
 			cp.stopped, cp.capHit = true, true
 		}
 	}

@@ -36,7 +36,7 @@ type Options struct {
 	// campaigns (0: GOMAXPROCS). Per-campaign Request.Workers shares
 	// this global budget.
 	SimWorkers int
-	// CacheBytes is the runner-cache budget (0: DefaultCacheBytes).
+	// CacheBytes is the runner-cache budget (<= 0: DefaultCacheBytes).
 	CacheBytes int64
 	// SpoolDir holds campaign checkpoints ("": a fresh temp dir).
 	SpoolDir string
@@ -50,7 +50,7 @@ type Options struct {
 // Server owns the campaign set, the runner cache, and the HTTP surface.
 type Server struct {
 	opts    Options
-	cache   *RunnerCache
+	cache   *kernels.Cache
 	metrics *Metrics
 	simSem  chan struct{}
 	mux     *http.ServeMux
@@ -61,8 +61,17 @@ type Server struct {
 	nextID    int
 }
 
+// DefaultCacheBytes is the default runner-cache budget: four
+// image-saturated runners' worth. kernels.ImageBudgetBytes bounds one
+// runner's sub-launch images; the cache bounds how many such runners
+// stay warm.
+const DefaultCacheBytes = 4 * kernels.ImageBudgetBytes
+
 // New builds a Server.
 func New(opts Options) (*Server, error) {
+	if opts.CacheBytes <= 0 {
+		opts.CacheBytes = DefaultCacheBytes
+	}
 	if opts.SimWorkers <= 0 {
 		opts.SimWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -77,7 +86,7 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:      opts,
-		cache:     NewRunnerCache(opts.CacheBytes),
+		cache:     kernels.NewCache(opts.CacheBytes),
 		metrics:   newMetrics(),
 		simSem:    make(chan struct{}, opts.SimWorkers),
 		campaigns: make(map[string]*Campaign),
@@ -176,7 +185,7 @@ func (s *Server) runnerFor(req Request, tool faultinj.Tool) (*kernels.Runner, er
 	if err != nil {
 		return nil, err
 	}
-	return s.cache.Get(e, dev, tool.OptLevel())
+	return s.cache.Get(e.Name, e.Build, dev, tool.OptLevel())
 }
 
 // Create validates a request, registers a campaign, and starts its
@@ -220,9 +229,6 @@ func (s *Server) ResumeFromCheckpoint(id string) (*Campaign, error) {
 	c, err := s.loadCheckpoint(id)
 	if err != nil {
 		return nil, err
-	}
-	if _, err := validate(&c.req); err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %s: %w", id, err)
 	}
 	s.mu.Lock()
 	if _, ok := s.campaigns[id]; ok {
@@ -365,6 +371,10 @@ func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	if !validID(id) {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: %q is not a campaign ID", id))
+		return
+	}
 	if c, ok := s.Get(id); ok {
 		if err := c.Resume(); err != nil {
 			httpError(w, http.StatusConflict, err)

@@ -10,10 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"gpurel/internal/asm"
-	"gpurel/internal/device"
 	"gpurel/internal/faultinj"
-	"gpurel/internal/suite"
 )
 
 func testHTTPServer(t *testing.T) (*Server, *httptest.Server) {
@@ -272,59 +269,6 @@ func TestHTTPPprofGate(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof not served with the flag: %d", resp.StatusCode)
-	}
-}
-
-func TestRunnerCacheSharingAndEviction(t *testing.T) {
-	dev := device.V100()
-	entries := suite.ForDevice(dev)
-	fm, err := suite.Find(entries, "FMXM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Generous budget: the second Get must hit.
-	cache := NewRunnerCache(DefaultCacheBytes)
-	r1, err := cache.Get(fm, dev, asm.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := cache.Get(fm, dev, asm.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("cache rebuilt a hot runner")
-	}
-	hits, misses, _, used, n := cache.Stats()
-	if hits != 1 || misses != 1 || n != 1 {
-		t.Fatalf("stats after two Gets: hits %d misses %d entries %d", hits, misses, n)
-	}
-	if used <= 0 || used != int64(r1.MemoryFootprint()) {
-		t.Fatalf("cache charges %d bytes, runner footprint %d", used, r1.MemoryFootprint())
-	}
-
-	// A budget smaller than one runner: each new key evicts the old,
-	// but the in-hand runner stays usable.
-	tiny := NewRunnerCache(1)
-	la, err := suite.Find(entries, "FLAVA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := tiny.Get(fm, dev, asm.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tiny.Get(la, dev, asm.O2); err != nil {
-		t.Fatal(err)
-	}
-	_, _, evictions, _, n := tiny.Stats()
-	if evictions == 0 || n != 1 {
-		t.Fatalf("tiny cache: evictions %d entries %d", evictions, n)
-	}
-	// Eviction drops only the cache's reference; the in-hand runner
-	// still works (golden outcome on a clean replay).
-	if got := ra.GoldenProfiles(); len(got) == 0 {
-		t.Fatal("evicted runner lost its golden profiles")
 	}
 }
 

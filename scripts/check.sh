@@ -5,8 +5,9 @@
 #   scripts/check.sh full       tier 2: tier 1 + gofmt + go vet + lint gate + race detector
 #   scripts/check.sh bench      substrate benchmarks (one iteration each; smoke, not timing)
 #   scripts/check.sh artifacts  golden-artifact drift gate: regenerate out/ and byte-diff
-#   scripts/check.sh serve      campaign-daemon gate: serve tests under -race, then a
-#                               loadgen soak (200+ concurrent campaigns) against a live
+#   scripts/check.sh serve      campaign-daemon gate: serve tests under -race, a
+#                               15 s checkpoint fuzz smoke run, then a loadgen
+#                               soak (200+ concurrent campaigns) against a live
 #                               gpurel-serve; soak report lands at serve-soak.txt
 #   scripts/check.sh perf       static-analysis speed smoke: one perfbench run of
 #                               the static workload; fails unless it is correct
@@ -135,19 +136,26 @@ if [ "$tier" = "perf" ]; then
 fi
 
 if [ "$tier" = "serve" ]; then
-    # Campaign-daemon gate, two stages. First the serve/stats/faultinj
-    # packages rerun under -race: the daemon is the one place the repo
-    # shards one campaign's trials across goroutines, so its tests are
-    # where the race detector earns its keep. Then a live soak: build
-    # gpurel-serve and tools/loadgen, boot the daemon on a loopback
-    # port, and push a few hundred concurrent campaigns through it.
+    # Campaign-daemon gate, three stages. First the serve/stats/faultinj
+    # packages, the shared runner cache (internal/kernels) and the shared
+    # worker pool (internal/par) rerun under -race: the daemon is the one
+    # place the repo shards one campaign's trials across goroutines, so
+    # its tests are where the race detector earns its keep. Then a
+    # bounded smoke run of the spool-checkpoint fuzz target, which
+    # starts from the committed seed corpus; minimization is capped so
+    # shrinking the first new input does not eat the whole 15 s. Then a
+    # live soak: build gpurel-serve and tools/loadgen, boot the daemon
+    # on a loopback port, and push a few hundred concurrent campaigns
+    # through it.
     # The loadgen asserts determinism (duplicate requests land on
     # byte-identical /counts bodies), verifies adaptive stopping beat
     # the fixed-count baseline on every CrossValKernel, and writes the
     # savings table + latency percentiles + a /metrics scrape to
     # serve-soak.txt (stable path; gitignored) for CI to upload.
-    echo "== go test -race ./internal/serve/ ./internal/stats/ ./internal/faultinj/"
-    go test -race -timeout 20m ./internal/serve/ ./internal/stats/ ./internal/faultinj/
+    echo "== go test -race ./internal/serve/ ./internal/stats/ ./internal/faultinj/ ./internal/kernels/ ./internal/par/"
+    go test -race -timeout 20m ./internal/serve/ ./internal/stats/ ./internal/faultinj/ ./internal/kernels/ ./internal/par/
+    echo "== go test -run '^\$' -fuzz FuzzLoadCheckpoint -fuzztime 15s -fuzzminimizetime 200x ./internal/serve"
+    go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 15s -fuzzminimizetime 200x ./internal/serve
     bindir="$(mktemp -d)"
     spool="$(mktemp -d)"
     daemon_pid=""
