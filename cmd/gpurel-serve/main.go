@@ -52,8 +52,9 @@ func main() {
 		fail(err)
 	}
 
-	// Bind before announcing, so wrappers (scripts/check.sh serve, the
-	// loadgen's retry loop) can treat the announcement line as "ready".
+	// Bind before announcing, so a wrapper can treat the announcement
+	// line as "ready" and read the bound address off it; with -addr
+	// 127.0.0.1:0 that is how scripts/check.sh serve finds the port.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail(err)

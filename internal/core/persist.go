@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"gpurel/internal/analysis"
@@ -12,6 +15,8 @@ import (
 	"gpurel/internal/device"
 	"gpurel/internal/faultinj"
 	"gpurel/internal/fit"
+	"gpurel/internal/isa"
+	"gpurel/internal/patterns"
 	"gpurel/internal/profiler"
 )
 
@@ -167,7 +172,9 @@ func ReadJSON(path string, v any) error {
 	return nil
 }
 
-// LoadDeviceStudy reads a study saved by SaveJSON.
+// LoadDeviceStudy reads a study saved by SaveJSON. It refuses a study
+// whose injection tallies contradict each other (see checkResult)
+// rather than load part of it.
 func LoadDeviceStudy(path string) (*DeviceStudy, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -237,7 +244,26 @@ func LoadDeviceStudy(path string) (*DeviceStudy, error) {
 		if err != nil {
 			return nil, err
 		}
+		for _, code := range sortedKeys(byCode) {
+			if err := checkResult(byCode[code]); err != nil {
+				return nil, fmt.Errorf("core: %s: %s %s: %w", path, tool, code, err)
+			}
+		}
 		ds.AVF[tool] = byCode
+	}
+	for _, code := range sortedKeys(ds.OptMatrix) {
+		m := ds.OptMatrix[code]
+		if m == nil {
+			return nil, fmt.Errorf("core: %s: optimization matrix %s: null", path, code)
+		}
+		for i, cell := range m.Cells {
+			if cell == nil {
+				return nil, fmt.Errorf("core: %s: optimization matrix %s %s: cell %d: null", path, m.Tool, code, i)
+			}
+			if err := checkResult(cell.Dynamic); err != nil {
+				return nil, fmt.Errorf("core: %s: optimization matrix %s %s: cell %s: %w", path, m.Tool, code, cell.Opt, err)
+			}
+		}
 	}
 	for _, e := range in.Beam {
 		ds.Beam[BeamKey{Code: e.Code, ECC: e.ECC}] = e.Result
@@ -259,6 +285,75 @@ func LoadDeviceStudy(path string) (*DeviceStudy, error) {
 		ds.DUEMeasuredUnderestimate[k == "on"] = v
 	}
 	return ds, nil
+}
+
+// checkResult rejects an injection result read back from disk whose
+// tallies contradict each other (faultinj.(*Tally).Check): the whole
+// campaign's and every class's, mode's and bit band's. A study saved
+// before the pattern or DUE-mode taxonomy carries no ledgers; an
+// all-zero ledger is read as all unclassified.
+func checkResult(res *faultinj.Result) error {
+	if res == nil {
+		return errors.New("null result")
+	}
+	if err := checkTally(res.Tally); err != nil {
+		return err
+	}
+	for _, c := range sortedKeys(res.PerClass) {
+		ca := res.PerClass[c]
+		switch {
+		case c >= isa.ClassCount:
+			return fmt.Errorf("unknown class %d", c)
+		case ca == nil:
+			return fmt.Errorf("class %s: null", c)
+		}
+		if err := checkTally(ca.Tally); err != nil {
+			return fmt.Errorf("class %s: %w", c, err)
+		}
+	}
+	for _, m := range sortedKeys(res.ByMode) {
+		ma := res.ByMode[m]
+		switch {
+		case m > faultinj.ModeGPR:
+			return fmt.Errorf("unknown mode %d", m)
+		case ma == nil:
+			return fmt.Errorf("mode %s: null", m)
+		}
+		if err := checkTally(ma.Tally); err != nil {
+			return fmt.Errorf("mode %s: %w", m, err)
+		}
+	}
+	for _, b := range sortedKeys(res.ByBand) {
+		ba := res.ByBand[b]
+		if ba == nil {
+			return fmt.Errorf("band %s: null", b)
+		}
+		if err := checkTally(ba.Tally); err != nil {
+			return fmt.Errorf("band %s: %w", b, err)
+		}
+	}
+	return nil
+}
+
+func checkTally(t faultinj.Tally) error {
+	if t.Patterns == (patterns.Ledger{}) {
+		t.Patterns.Unclassified = t.SDC
+	}
+	if t.DUEModes == (patterns.DUELedger{}) {
+		t.DUEModes.Unattributed = t.DUE
+	}
+	return t.Check()
+}
+
+// sortedKeys returns m's keys in ascending order, so the first
+// inconsistency a loader reports does not depend on map order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func eccKey(ecc bool) string {

@@ -36,14 +36,6 @@ func (l *DUELedger) Count(ob Observation) {
 	}
 }
 
-// Merge adds another ledger's counts into l.
-func (l *DUELedger) Merge(o DUELedger) {
-	l.Hang += o.Hang
-	l.IllegalAddress += o.IllegalAddress
-	l.SyncError += o.SyncError
-	l.Unattributed += o.Unattributed
-}
-
 // DUEs returns the total DUE count the ledger has absorbed.
 func (l DUELedger) DUEs() int {
 	return l.Hang + l.IllegalAddress + l.SyncError + l.Unattributed

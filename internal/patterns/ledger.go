@@ -82,18 +82,6 @@ func (l *Ledger) Count(ob Observation) {
 	}
 }
 
-// Merge adds another ledger's counts into l.
-func (l *Ledger) Merge(o Ledger) {
-	l.Single += o.Single
-	l.SameRow += o.SameRow
-	l.SameCol += o.SameCol
-	l.Block += o.Block
-	l.Scattered += o.Scattered
-	l.Critical += o.Critical
-	l.Tolerable += o.Tolerable
-	l.Unclassified += o.Unclassified
-}
-
 // SDCs returns the total SDC count the ledger has absorbed.
 func (l Ledger) SDCs() int {
 	return l.Single + l.SameRow + l.SameCol + l.Block + l.Scattered + l.Unclassified

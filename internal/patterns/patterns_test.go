@@ -186,13 +186,6 @@ func TestObserveAndLedger(t *testing.T) {
 		t.Fatalf("SDCs() = %d, want 4", l.SDCs())
 	}
 
-	var m Ledger
-	m.Merge(l)
-	m.Merge(l)
-	if m.SDCs() != 8 || m.Single != 2 {
-		t.Fatalf("Merge: %+v", m)
-	}
-
 	mix := l.Mix()
 	spatial := mix.Single + mix.SameRow + mix.SameCol + mix.Block + mix.Scattered + mix.Unclassified
 	if math.Abs(spatial-1) > 1e-12 {

@@ -125,8 +125,9 @@ type Status struct {
 // Counts is the deterministic subset of a campaign's final state: no
 // timing, no derived floats — only what the fault model produced. Two
 // runs of the same request agree on these bytes regardless of worker
-// count, pause/resume history, or daemon restarts; the loadgen's
-// determinism assertion and the serve tests compare them directly.
+// count, pause/resume history, concurrent duplicates or daemon
+// restarts; the serve tests and the perfbench serve workload compare
+// them directly.
 type Counts struct {
 	Code    string        `json:"code"`
 	Device  string        `json:"device"`

@@ -2,13 +2,15 @@
 # Repository check tiers.
 #
 #   scripts/check.sh            tier 1: build + tests (the gate every change must pass)
-#   scripts/check.sh full       tier 2: tier 1 + gofmt + go vet + lint gate + race detector
+#   scripts/check.sh full       tier 2: tier 1 + gofmt + go vet + lint gate + a
+#                               15 s study-loader fuzz smoke run + race detector
 #   scripts/check.sh bench      substrate benchmarks (one iteration each; smoke, not timing)
 #   scripts/check.sh artifacts  golden-artifact drift gate: regenerate out/ and byte-diff
 #   scripts/check.sh serve      campaign-daemon gate: serve tests under -race, a
-#                               15 s checkpoint fuzz smoke run, then a loadgen
-#                               soak (200+ concurrent campaigns) against a live
-#                               gpurel-serve; soak report lands at serve-soak.txt
+#                               15 s checkpoint fuzz smoke run, a gpurel-serve
+#                               boot smoke, then one perfbench run of the serve
+#                               workload; fails unless it is correct with no
+#                               failed operations
 #   scripts/check.sh perf       static-analysis speed smoke: one perfbench run of
 #                               the static workload; fails unless it is correct
 #                               with no failed operations
@@ -53,6 +55,24 @@ if [ "${CHECK_SH_PARSE_ONLY:-}" = "1" ]; then
     echo "tier ok: ${tier:-default}"
     exit 0
 fi
+
+# perfbench_gate runs one untraced perfbench pass of the named workload
+# and fails unless its result line (the last line of output) reports
+# correct output checks and no failed operation. It is not a timing
+# gate — timings need paired same-host runs (perfbench/README.md) — but
+# the result line records wall_s for the log.
+perfbench_gate() {
+    echo "== bash perfbench/run.sh --workload $1 --seed 1 --seconds 30 --trace 0"
+    result="$(bash perfbench/run.sh --workload "$1" --seed 1 --seconds 30 --trace 0 | tail -n 1)"
+    echo "$result"
+    case "$result" in
+        *'"correct":true,'*'"failed":0,'*) ;;
+        *)
+            echo "PERFBENCH GATE: the $1 workload failed its output checks or an operation (see above)"
+            exit 1
+            ;;
+    esac
+}
 
 if [ "${1:-}" = "bench" ]; then
     # Two stages. First a one-iteration smoke pass over every substrate
@@ -111,69 +131,71 @@ if [ "${1:-}" = "artifacts" ]; then
 fi
 
 if [ "$tier" = "perf" ]; then
-    # Static-analysis speed smoke: one untraced run of the perfbench
-    # static workload (every injection-free estimator and the lint over
-    # all 58 suite runners). It is not a timing gate — timings need
-    # paired same-host runs (perfbench/README.md) — but it fails unless
-    # the run's output checks pass with no failed operation, and its
-    # result line records wall_s for the log. With each launch analyzed
-    # once per runner and the backward fixpoints re-evaluating only stale
-    # definitions it takes a few seconds; a run far slower than that
-    # points at the analysis memo (kernels.Runner.LaunchAnalysis) or at
-    # the fixpoint's stale set (internal/analysis/stale.go).
-    echo "== bash perfbench/run.sh --workload static --seed 1 --seconds 30 --trace 0"
-    result="$(bash perfbench/run.sh --workload static --seed 1 --seconds 30 --trace 0 | tail -n 1)"
-    echo "$result"
-    case "$result" in
-        *'"correct":true,'*'"failed":0,'*) ;;
-        *)
-            echo "PERF GATE: the static workload failed its output checks or an operation (see above)"
-            exit 1
-            ;;
-    esac
+    # Static-analysis speed smoke: the perfbench static workload, every
+    # injection-free estimator and the lint over all 58 suite runners.
+    # With each launch analyzed once per runner and the backward
+    # fixpoints re-evaluating only stale definitions it takes a few
+    # seconds; a run far slower than that points at the analysis memo
+    # (kernels.Runner.LaunchAnalysis) or at the fixpoint's stale set
+    # (internal/analysis/stale.go).
+    perfbench_gate static
     echo "checks passed"
     exit 0
 fi
 
 if [ "$tier" = "serve" ]; then
-    # Campaign-daemon gate, three stages. First the serve/stats/faultinj
+    # Campaign-daemon gate, four stages. First the serve/stats/faultinj
     # packages, the shared runner cache (internal/kernels) and the shared
     # worker pool (internal/par) rerun under -race: the daemon is the one
     # place the repo shards one campaign's trials across goroutines, so
-    # its tests are where the race detector earns its keep. Then a
-    # bounded smoke run of the spool-checkpoint fuzz target, which
-    # starts from the committed seed corpus; minimization is capped so
-    # shrinking the first new input does not eat the whole 15 s. Then a
-    # live soak: build gpurel-serve and tools/loadgen, boot the daemon
-    # on a loopback port, and push a few hundred concurrent campaigns
-    # through it.
-    # The loadgen asserts determinism (duplicate requests land on
-    # byte-identical /counts bodies), verifies adaptive stopping beat
-    # the fixed-count baseline on every CrossValKernel, and writes the
-    # savings table + latency percentiles + a /metrics scrape to
-    # serve-soak.txt (stable path; gitignored) for CI to upload.
+    # its tests are where the race detector earns its keep. They include
+    # the adaptive-stop gates over every CrossValKernel and identical
+    # campaigns in flight at once. Then a bounded smoke run of the
+    # spool-checkpoint fuzz target, which starts from the committed seed
+    # corpus; minimization is capped so shrinking the first new input
+    # does not eat the whole 15 s. Then build gpurel-serve, boot it on a
+    # free loopback port and a temp spool until /healthz answers, and
+    # stop it. Last, the perfbench serve workload drives an in-process
+    # daemon over HTTP: many short adaptive campaigns sharing an evicting
+    # runner cache, with duplicates whose /counts must match byte for
+    # byte, pause/resume and the SSE stream.
     echo "== go test -race ./internal/serve/ ./internal/stats/ ./internal/faultinj/ ./internal/kernels/ ./internal/par/"
     go test -race -timeout 20m ./internal/serve/ ./internal/stats/ ./internal/faultinj/ ./internal/kernels/ ./internal/par/
     echo "== go test -run '^\$' -fuzz FuzzLoadCheckpoint -fuzztime 15s -fuzzminimizetime 200x ./internal/serve"
     go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 15s -fuzzminimizetime 200x ./internal/serve
-    bindir="$(mktemp -d)"
-    spool="$(mktemp -d)"
+    tmp="$(mktemp -d)"
     daemon_pid=""
     cleanup() {
         [ -n "$daemon_pid" ] && kill "$daemon_pid" 2>/dev/null || true
-        rm -rf "$bindir" "$spool"
+        rm -rf "$tmp"
     }
     trap cleanup EXIT
-    echo "== go build ./cmd/gpurel-serve ./tools/loadgen"
-    go build -o "$bindir/gpurel-serve" ./cmd/gpurel-serve
-    go build -o "$bindir/loadgen" ./tools/loadgen
-    addr="127.0.0.1:${GPUREL_SERVE_PORT:-8397}"
-    echo "== gpurel-serve -addr $addr (background)"
-    "$bindir/gpurel-serve" -addr "$addr" -spool "$spool" -quiet &
+    echo "== go build ./cmd/gpurel-serve"
+    go build -o "$tmp/gpurel-serve" ./cmd/gpurel-serve
+    echo "== gpurel-serve -addr 127.0.0.1:0 (background) until /healthz answers"
+    mkdir "$tmp/spool"
+    "$tmp/gpurel-serve" -addr 127.0.0.1:0 -spool "$tmp/spool" -quiet >"$tmp/announce" &
     daemon_pid=$!
-    echo "== loadgen -addr $addr -campaigns 200"
-    "$bindir/loadgen" -addr "$addr" -campaigns 200 -out serve-soak.txt
-    cat serve-soak.txt
+    healthy=""
+    for _ in $(seq 150); do
+        base="$(sed -n 's|^gpurel-serve listening on \(http://[^ ]*\) .*|\1|p' "$tmp/announce")"
+        if [ -n "$base" ] && curl -fsS "$base/healthz" >/dev/null 2>&1; then
+            healthy=1
+            break
+        fi
+        kill -0 "$daemon_pid" 2>/dev/null || break
+        sleep 0.2
+    done
+    kill "$daemon_pid" 2>/dev/null || true
+    wait "$daemon_pid" 2>/dev/null || true
+    daemon_pid=""
+    if [ -z "$healthy" ]; then
+        echo "SERVE GATE: gpurel-serve did not answer /healthz within 30 s"
+        cat "$tmp/announce"
+        exit 1
+    fi
+    echo "$base/healthz ok"
+    perfbench_gate serve
     echo "checks passed"
     exit 0
 fi
@@ -198,6 +220,8 @@ if [ "${1:-}" = "full" ]; then
     go run ./cmd/gpurel-lint >/dev/null
     echo "== gomaplint (deterministic artifact writers)"
     go run ./tools/gomaplint .
+    echo "== go test -run '^\$' -fuzz FuzzLoadDeviceStudy -fuzztime 15s -fuzzminimizetime 200x ./internal/core"
+    go test -run '^$' -fuzz FuzzLoadDeviceStudy -fuzztime 15s -fuzzminimizetime 200x ./internal/core
     echo "== go test -race -short ./..."
     go test -race -short -timeout 20m ./...
 fi
