@@ -72,12 +72,16 @@ func NewProportion(successes, trials int) Proportion {
 		panic(fmt.Sprintf("stats: successes %d out of range [0,%d]", successes, trials))
 	}
 	iv := Wilson(successes, trials)
+	p := float64(successes) / float64(trials)
+	// At p = 0 or 1 the Wilson bound on that side is p exactly, but
+	// rounding can leave it an ULP on the wrong side of p. Wilson
+	// itself stays as computed: the daemon's stop rule reads it.
 	return Proportion{
 		Successes: successes,
 		Trials:    trials,
-		P:         float64(successes) / float64(trials),
-		Lower:     iv.Lower,
-		Upper:     iv.Upper,
+		P:         p,
+		Lower:     math.Min(iv.Lower, p),
+		Upper:     math.Max(iv.Upper, p),
 	}
 }
 
