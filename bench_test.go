@@ -429,7 +429,7 @@ func BenchmarkSimPerFaultYOLOv3Uniform(b *testing.B) {
 // one restore + one full-region word diff per iteration over a
 // workload-sized device memory.
 func BenchmarkSimSnapshotRestore(b *testing.B) {
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	if _, err := g.Alloc(1 << 20); err != nil {
 		b.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"os"
 
-	"gpurel/internal/kernels"
 	"gpurel/internal/serve"
 )
 
@@ -28,8 +27,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8397", "listen address")
 	workers := flag.Int("workers", 0, "global concurrent-trial bound (0: one per CPU)")
 	cacheBytes := flag.Int64("cache-bytes", serve.DefaultCacheBytes,
-		fmt.Sprintf("runner-cache budget in bytes (default 4x the %d-byte per-runner image budget)",
-			kernels.ImageBudgetBytes))
+		"runner-cache budget in bytes, charged with each cached runner's retained memory")
 	spool := flag.String("spool", "", "campaign checkpoint directory (default: fresh temp dir)")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof (operator profiling surface)")
 	quiet := flag.Bool("quiet", false, "suppress per-campaign log lines")

@@ -51,7 +51,7 @@ func buildDot(aBase, bBase, outBase uint32) *isa.Program {
 }
 
 func run(fault *sim.FaultPlan) (trace string, out []uint32) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	aBase, _ := g.Alloc(32 * 4)
 	bBase, _ := g.Alloc(32 * 4)
 	outBase, _ := g.Alloc(32 * 4)

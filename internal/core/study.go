@@ -242,91 +242,20 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		DUEMeasuredUnderestimate:  make(map[bool]float64),
 	}
 
-	cache := kernels.NewCache(0) // the study keeps every runner it builds
-	var mu sync.Mutex            // guards the ds maps and micro accumulators
-
-	// 1. Micro-benchmark beam campaigns (Figure 3). ECC is enabled for
-	// all micro-benchmarks except RF (§V-B). Micros run concurrently;
-	// each campaign result depends only on its own seed, so the split
-	// does not change any number.
-	microAVF := make(map[string]float64)
-	microPhi := make(map[string]float64)
-	microHidden := make(map[string]float64)
-	var rfExposedBytes int
-	micros := microbench.Catalog(dev)
-	outer, innerW := splitWorkers(opts.Workers, len(micros))
-	err := par.ForEach(len(micros), outer, func(i int) error {
-		m := micros[i]
-		r, err := cache.Get(m.Name, m.Build, dev, asm.O2)
-		if err != nil {
-			return fmt.Errorf("core: micro %s: %w", m.Name, err)
-		}
-		if mp, err := profiler.Profile(r); err == nil {
-			mu.Lock()
-			microPhi[m.Name] = mp.Phi()
-			mu.Unlock()
-		}
-		// The micro's own measured hidden exposure calibrates the
-		// measured DUE correction (fit.MeasuredHiddenDUEBase).
-		mh := faultinj.MeasuredHidden(r)
-		mu.Lock()
-		microHidden[m.Name] = mh.DUEExposure()
-		mu.Unlock()
-		ecc := m.Name != "RF"
-		res, err := beam.Run(beam.Config{
-			ECC: ecc, Trials: opts.MicroTrials, Workers: innerW,
-			Seed: opts.Seed ^ hash(m.Name),
-		}, r)
-		if err != nil {
-			return fmt.Errorf("core: micro beam %s: %w", m.Name, err)
-		}
-		mu.Lock()
-		ds.MicroBeam[m.Name] = res
-		mu.Unlock()
-		opts.Progress("micro beam %-6s on %s: SDC %.2f DUE %.2f a.u.",
-			m.Name, dev.Name, res.SDCFIT.Rate, res.DUEFIT.Rate)
-
-		if m.Name == "RF" {
-			l := r.Instance().Launches[0]
-			mu.Lock()
-			rfExposedBytes = l.GridX * l.GridY * l.BlockThreads * l.Prog.NumRegs * 4
-			microAVF[m.Name] = 1 // every stored bit is checked
-			mu.Unlock()
-			return nil
-		}
-		// Micro AVF via direct injection on the unit under test.
-		tool := faultinj.NVBitFI
-		if dev.Arch == device.Kepler {
-			tool = faultinj.Sassifi
-		}
-		ir, err := cache.Get(m.Name, m.Build, dev, tool.OptLevel())
-		if err != nil {
-			return fmt.Errorf("core: micro %s at %s opt: %w", m.Name, tool, err)
-		}
-		avfRes, err := faultinj.RunWithRunner(faultinj.Config{
-			Tool: tool, FaultsPerClass: opts.MicroAVFFaults,
-			TotalFaults: opts.MicroAVFFaults * 3,
-			Workers:     innerW, Seed: opts.Seed ^ hash(m.Name) ^ 0xa7f5a17,
-		}, ir)
-		if err == nil {
-			mu.Lock()
-			microAVF[m.Name] = avfRes.SDCAVF.P
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	units, err := fit.FromMicroResults(dev.Name, ds.MicroBeam, microAVF, microPhi, microHidden, rfExposedBytes)
+	// 1. Micro-benchmark beam campaigns (Figure 3) and the per-unit FIT
+	// rates they calibrate.
+	units, err := microUnits(dev, opts, ds.MicroBeam)
 	if err != nil {
 		return nil, err
 	}
 	ds.Units = units
 
+	cache := kernels.NewCache(0) // the study keeps every suite runner it builds
+	var mu sync.Mutex            // guards the ds maps
+
 	// 2. Profiling (Table I, Figure 1), concurrent across codes.
 	entries := suite.ForDevice(dev)
-	outer, _ = splitWorkers(opts.Workers, len(entries))
+	outer, _ := splitWorkers(opts.Workers, len(entries))
 	err = par.ForEach(len(entries), outer, func(i int) error {
 		e := entries[i]
 		r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
@@ -371,7 +300,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 			}
 		}
 	}
-	outer, innerW = splitWorkers(opts.Workers, len(injJobs))
+	outer, innerW := splitWorkers(opts.Workers, len(injJobs))
 	err = par.ForEach(len(injJobs), outer, func(i int) error {
 		j := injJobs[i]
 		r, err := cache.Get(j.e.Name, j.e.Build, dev, j.tool.OptLevel())
@@ -530,6 +459,91 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		return nil, err
 	}
 	return ds, nil
+}
+
+// microUnits runs the micro-benchmark beam campaigns of one device
+// (Figure 3), filling microBeam, and derives the per-unit FIT rates.
+// ECC is enabled for all micro-benchmarks except RF (§V-B). Micros run
+// concurrently; each campaign result depends only on its own seed, so
+// the split does not change any number.
+//
+// Only this phase uses the micro runners, and a micro fills every SM,
+// so its sub-launch images are the largest of the study. They live in a
+// cache of their own that is dropped when the phase returns, before the
+// suite campaigns build their runners.
+func microUnits(dev *device.Device, opts Options, microBeam map[string]*beam.Result) (*fit.UnitFITs, error) {
+	cache := kernels.NewCache(0)
+	var mu sync.Mutex // guards microBeam and the micro accumulators
+	microAVF := make(map[string]float64)
+	microPhi := make(map[string]float64)
+	microHidden := make(map[string]float64)
+	var rfExposedBytes int
+	micros := microbench.Catalog(dev)
+	outer, innerW := splitWorkers(opts.Workers, len(micros))
+	err := par.ForEach(len(micros), outer, func(i int) error {
+		m := micros[i]
+		r, err := cache.Get(m.Name, m.Build, dev, asm.O2)
+		if err != nil {
+			return fmt.Errorf("core: micro %s: %w", m.Name, err)
+		}
+		if mp, err := profiler.Profile(r); err == nil {
+			mu.Lock()
+			microPhi[m.Name] = mp.Phi()
+			mu.Unlock()
+		}
+		// The micro's own measured hidden exposure calibrates the
+		// measured DUE correction (fit.MeasuredHiddenDUEBase).
+		mh := faultinj.MeasuredHidden(r)
+		mu.Lock()
+		microHidden[m.Name] = mh.DUEExposure()
+		mu.Unlock()
+		ecc := m.Name != "RF"
+		res, err := beam.Run(beam.Config{
+			ECC: ecc, Trials: opts.MicroTrials, Workers: innerW,
+			Seed: opts.Seed ^ hash(m.Name),
+		}, r)
+		if err != nil {
+			return fmt.Errorf("core: micro beam %s: %w", m.Name, err)
+		}
+		mu.Lock()
+		microBeam[m.Name] = res
+		mu.Unlock()
+		opts.Progress("micro beam %-6s on %s: SDC %.2f DUE %.2f a.u.",
+			m.Name, dev.Name, res.SDCFIT.Rate, res.DUEFIT.Rate)
+
+		if m.Name == "RF" {
+			l := r.Instance().Launches[0]
+			mu.Lock()
+			rfExposedBytes = l.GridX * l.GridY * l.BlockThreads * l.Prog.NumRegs * 4
+			microAVF[m.Name] = 1 // every stored bit is checked
+			mu.Unlock()
+			return nil
+		}
+		// Micro AVF via direct injection on the unit under test.
+		tool := faultinj.NVBitFI
+		if dev.Arch == device.Kepler {
+			tool = faultinj.Sassifi
+		}
+		ir, err := cache.Get(m.Name, m.Build, dev, tool.OptLevel())
+		if err != nil {
+			return fmt.Errorf("core: micro %s at %s opt: %w", m.Name, tool, err)
+		}
+		avfRes, err := faultinj.RunWithRunner(faultinj.Config{
+			Tool: tool, FaultsPerClass: opts.MicroAVFFaults,
+			TotalFaults: opts.MicroAVFFaults * 3,
+			Workers:     innerW, Seed: opts.Seed ^ hash(m.Name) ^ 0xa7f5a17,
+		}, ir)
+		if err == nil {
+			mu.Lock()
+			microAVF[m.Name] = avfRes.SDCAVF.P
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return fit.FromMicroResults(dev.Name, microBeam, microAVF, microPhi, microHidden, rfExposedBytes)
 }
 
 // matrixKernel reports whether a workload is in the optimization-matrix

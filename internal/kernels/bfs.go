@@ -69,7 +69,7 @@ func buildBFS(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 		frontier = next
 	}
 
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	rpBase, err := g.Alloc((n + 1) * 4)
 	if err != nil {
 		return nil, err

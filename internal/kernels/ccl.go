@@ -78,7 +78,7 @@ func buildCCL(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 		cur, next = next, cur
 	}
 
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	lA, err := g.Alloc(w * h * 4)
 	if err != nil {
 		return nil, err

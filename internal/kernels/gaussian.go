@@ -25,7 +25,7 @@ func GaussianBuilder() Builder {
 func buildGaussian(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 	const n = gaussN
 	const cols = n + 1 // augmented with the RHS vector
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	aBase, err := g.Alloc(n * cols * 4)
 	if err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ func buildGEMM(dev *device.Device, opt asm.OptLevel, e Elem) (*Instance, error) 
 	tileM := sh.microM * sh.thrM // block tile rows
 	tileN := sh.microN * sh.thrN // block tile cols
 
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	aBase, err := g.Alloc(n * n * int(e.size))
 	if err != nil {
 		return nil, err

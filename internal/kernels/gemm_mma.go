@@ -29,7 +29,7 @@ func buildGEMMMMA(dev *device.Device, opt asm.OptLevel, half bool) (*Instance, e
 	if !dev.HasTensor {
 		return nil, errNoTensor(dev)
 	}
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	elSize := 4
 	if half {
 		elSize = 2

@@ -32,7 +32,7 @@ func HotspotBuilder(dt isa.DType) Builder {
 
 func buildHotspot(dev *device.Device, opt asm.OptLevel, e Elem) (*Instance, error) {
 	const w, h = hotspotW, hotspotH
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	tA, err := g.Alloc(w * h * int(e.size))
 	if err != nil {
 		return nil, err

@@ -202,10 +202,12 @@ type launchAnalysis struct {
 	res  *analysis.Result
 }
 
-// ImageBudgetBytes caps the approximate memory spent on sub-launch
-// images per Runner; the per-launch image count is scaled down to fit.
-// The daemon's budget for the runner Cache is expressed in this unit:
-// one budget's worth of cache holds roughly one image-saturated runner.
+// ImageBudgetBytes sets how many sub-launch images a Runner records:
+// the per-launch image count is scaled down so that the images' memory
+// snapshots plus a flat 64 KiB each for block state fit. It is a
+// recording rule, not a bound on what a runner retains: an image of a
+// kernel that fills every SM freezes far more than 64 KiB of registers
+// (MemoryFootprint counts them), so a runner can hold more than this.
 const ImageBudgetBytes = 64 << 20
 
 // NewRunner builds the workload once, performs the golden run, and
@@ -219,9 +221,11 @@ func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel)
 	r.inst = inst
 	r.pool = mem.NewPool(inst.Global.CapacityBytes())
 	r.analyses = make([]launchAnalysis, len(inst.Launches))
-	// Sub-launch images cost roughly one global snapshot plus resident
-	// block state apiece; divide the budget across launches and skip
-	// recording where fewer than two images would fit.
+	// Sub-launch images cost one global snapshot plus resident block
+	// state apiece; the rule charges the block state a flat 64 KiB,
+	// divides the budget across launches and skips recording where
+	// fewer than two images would fit. It fixes the image count and
+	// spacing, and so the replay work of every campaign.
 	maxImgs := ImageBudgetBytes / len(inst.Launches) /
 		(inst.Global.AllocatedBytes() + 64*1024)
 	if maxImgs > sim.DefaultMaxImages {
@@ -263,9 +267,11 @@ func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel)
 	return r, nil
 }
 
-// MemoryFootprint approximates the bytes the runner retains for the
-// life of the cache entry: the instance's device memory, the launch-
-// boundary snapshots, and the sub-launch golden images. The replay
+// MemoryFootprint returns the bytes the runner retains for the life of
+// the cache entry: the instance's device memory (exactly its allocated
+// words), the launch-boundary snapshots, and the sub-launch golden
+// images, each counted with its frozen register, predicate, shared-
+// memory and stack state (sim.LaunchImage.FootprintBytes). The replay
 // scratch pool is excluded — it grows with concurrent replays, not with
 // cache residency. Cache layers (internal/serve) charge this against
 // their byte budget when deciding evictions.

@@ -34,7 +34,7 @@ func buildLava(dev *device.Device, opt asm.OptLevel, e Elem) (*Instance, error) 
 		ppb = lavaPPB
 		n   = nb * ppb
 	)
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	// Particle i: x, y, z, q at stride 4 elements.
 	pBase, err := g.Alloc(n * 4 * int(e.size))
 	if err != nil {

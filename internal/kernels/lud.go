@@ -23,7 +23,7 @@ func LUDBuilder() Builder {
 
 func buildLUD(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 	const n = ludN
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	aBase, err := g.Alloc(n * n * 4)
 	if err != nil {
 		return nil, err

@@ -33,7 +33,7 @@ func buildMergesort(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 	ref := append([]int32(nil), data...)
 	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
 
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	bufA, err := g.Alloc(n * 4)
 	if err != nil {
 		return nil, err

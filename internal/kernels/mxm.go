@@ -23,7 +23,7 @@ func MxMBuilder(dt isa.DType) Builder {
 
 func buildMxM(dev *device.Device, opt asm.OptLevel, e Elem) (*Instance, error) {
 	const n = mxmN
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	aBase, err := g.Alloc(n * n * int(e.size))
 	if err != nil {
 		return nil, err

@@ -32,7 +32,7 @@ func buildNW(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 		t = nwTile
 	)
 	rows := n + 1
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	scoreBase, err := g.Alloc(rows * rows * 4)
 	if err != nil {
 		return nil, err

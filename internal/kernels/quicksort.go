@@ -43,7 +43,7 @@ func buildQuicksort(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
 	}
 
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	dataBase, err := g.Alloc(n * 4)
 	if err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func buildYOLO(dev *device.Device, opt asm.OptLevel, e Elem, spec cnn.Spec) (*In
 	cells := headDims[1] * headDims[2]
 	golden := cnn.Decode(outs[len(outs)-1], spec.Classes, cells)
 
-	g := mem.NewGlobal(1 << 23)
+	g := mem.NewGlobal()
 	es := int(e.size)
 	toH := func(vs []float64) []hval {
 		out := make([]hval, len(vs))

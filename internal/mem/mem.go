@@ -38,32 +38,53 @@ type Global struct {
 	hwm   uint32 // allocation high-water mark, bytes
 }
 
-// NewGlobal creates a device memory of the given capacity in bytes
-// (rounded down to a word multiple).
-func NewGlobal(capacity int) *Global {
-	if capacity < nullGuard*2 {
-		capacity = nullGuard * 2
-	}
-	return &Global{
-		words: make([]uint32, capacity/4),
-		hwm:   nullGuard,
-	}
+// maxGlobalBytes bounds the high-water mark: addresses are 32-bit, and
+// the last word must stay addressable without wrapping.
+const maxGlobalBytes = 1<<32 - 8
+
+// NewGlobal creates an empty device memory. It holds only the null
+// guard; Alloc grows the storage to each new high-water mark, so a
+// workload's memory is exactly as large as what it allocated.
+func NewGlobal() *Global {
+	return newGlobalWords(nullGuard)
+}
+
+// newGlobalWords creates an empty device memory whose storage already
+// spans capacity bytes (rounded down to a word multiple, and never less
+// than the null guard).
+func newGlobalWords(capacity int) *Global {
+	return &Global{words: make([]uint32, max(capacity, nullGuard)/4), hwm: nullGuard}
 }
 
 // Alloc reserves size bytes (rounded up to 8-byte alignment) and returns
-// the base address.
+// the base address. The new bytes read as zero.
 func (g *Global) Alloc(size int) (uint32, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("mem: invalid allocation size %d", size)
 	}
-	aligned := (size + 7) &^ 7
+	aligned := (uint64(size) + 7) &^ 7
 	base := g.hwm
-	if int(base)+aligned > len(g.words)*4 {
-		return 0, fmt.Errorf("mem: out of device memory (%d bytes requested, %d free)",
-			aligned, len(g.words)*4-int(base))
+	if uint64(base)+aligned > maxGlobalBytes {
+		return 0, fmt.Errorf("mem: out of device address space (%d bytes requested, %d free)",
+			aligned, maxGlobalBytes-uint64(base))
 	}
 	g.hwm += uint32(aligned)
+	g.grow(int(g.hwm) / 4)
 	return base, nil
+}
+
+// grow extends the storage to at least n words. It copies into a slice
+// of exactly n words rather than appending, so the storage never holds
+// more than the high-water mark it was grown to; words past the old
+// length start zero, keeping the invariant that words above hwm are
+// zero.
+func (g *Global) grow(n int) {
+	if n <= len(g.words) {
+		return
+	}
+	words := make([]uint32, n)
+	copy(words, g.words)
+	g.words = words
 }
 
 // AllocatedBytes returns the bytes currently reserved (excluding the null

@@ -4,7 +4,7 @@ import "testing"
 
 func buildTestGlobal(t *testing.T) (*Global, uint32) {
 	t.Helper()
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	base, err := g.Alloc(4096)
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +46,15 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	snap := g.Snapshot()
 	want := g.Word(base)
 	g.SetWord(base, ^want)
-	g2 := NewGlobal(g.CapacityBytes())
+	g2 := NewGlobal()
 	g2.Restore(snap)
 	if got := g2.Word(base); got != want {
 		t.Fatalf("snapshot changed with its source: got %#x want %#x", got, want)
+	}
+	// Restoring into an empty Global grows it to exactly the snapshot.
+	if g2.CapacityBytes() != snap.SizeBytes() || g2.AllocatedBytes() != g.AllocatedBytes() {
+		t.Fatalf("restored Global holds %d bytes (%d allocated), snapshot %d bytes (%d allocated)",
+			g2.CapacityBytes(), g2.AllocatedBytes(), snap.SizeBytes(), g.AllocatedBytes())
 	}
 }
 
@@ -105,7 +110,7 @@ func TestPoolRecyclesMatchingCapacity(t *testing.T) {
 	}
 	p.Put(g)
 	// A foreign-capacity Global must be rejected, not poison the pool.
-	p.Put(NewGlobal(1 << 10))
+	p.Put(NewGlobal())
 	g2 := p.Get()
 	if g2.CapacityBytes() != 1<<16 {
 		t.Fatalf("recycled Global capacity = %d", g2.CapacityBytes())

@@ -7,7 +7,7 @@ import (
 )
 
 func TestAllocAndAccess(t *testing.T) {
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	a, err := g.Alloc(64)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func TestAllocAndAccess(t *testing.T) {
 }
 
 func TestAllocAlignment(t *testing.T) {
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	a1, _ := g.Alloc(5)
 	a2, _ := g.Alloc(4)
 	if a1%8 != 0 || a2%8 != 0 {
@@ -36,8 +36,48 @@ func TestAllocAlignment(t *testing.T) {
 	}
 }
 
+// TestAllocGrowsToHighWaterMark: device memory is exactly as large as
+// what was allocated. After every Alloc the storage ends at the new
+// high-water mark, earlier contents survive the growth, and the grown
+// words read as zero.
+func TestAllocGrowsToHighWaterMark(t *testing.T) {
+	for _, sizes := range [][]int{
+		{4},
+		{5, 4},
+		{4096, 1, 1 << 20, 12},
+		{1 << 16, 1 << 16, 1 << 16},
+	} {
+		g := NewGlobal()
+		if g.CapacityBytes() != nullGuard {
+			t.Fatalf("empty Global holds %d bytes, want the %d-byte null guard", g.CapacityBytes(), nullGuard)
+		}
+		var bases []uint32
+		for i, size := range sizes {
+			base, err := g.Alloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := g.CapacityBytes(), nullGuard+g.AllocatedBytes(); got != want {
+				t.Fatalf("%v: after alloc %d capacity = %d, want hwm %d", sizes, i, got, want)
+			}
+			for addr := base; addr < base+uint32(size); addr += 4 {
+				if v := g.Word(addr); v != 0 {
+					t.Fatalf("%v: grown word at %#x = %#x, want 0", sizes, addr, v)
+				}
+			}
+			g.SetWord(base, 0xa5a5a5a5^uint32(i))
+			bases = append(bases, base)
+		}
+		for i, base := range bases {
+			if v := g.Word(base); v != 0xa5a5a5a5^uint32(i) {
+				t.Fatalf("%v: allocation %d lost its contents across growth: %#x", sizes, i, v)
+			}
+		}
+	}
+}
+
 func TestNullAndOOBFault(t *testing.T) {
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	a, _ := g.Alloc(16)
 	var ae *AccessError
 
@@ -56,7 +96,7 @@ func TestNullAndOOBFault(t *testing.T) {
 }
 
 func TestAccessJustPastHWMFaults(t *testing.T) {
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	a, _ := g.Alloc(16)
 	if _, err := g.Load32(a + 12); err != nil {
 		t.Fatalf("last word should be readable: %v", err)
@@ -67,7 +107,7 @@ func TestAccessJustPastHWMFaults(t *testing.T) {
 }
 
 func TestLoad64Store64RoundTrip(t *testing.T) {
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	a, _ := g.Alloc(32)
 	if err := g.Store64(a+8, 0x11111111, 0x22222222); err != nil {
 		t.Fatal(err)
@@ -79,7 +119,7 @@ func TestLoad64Store64RoundTrip(t *testing.T) {
 }
 
 func TestAtomicAdd(t *testing.T) {
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	a, _ := g.Alloc(8)
 	g.SetWord(a, 5)
 	old, err := g.AtomicAdd32(a, 3)
@@ -92,7 +132,7 @@ func TestAtomicAdd(t *testing.T) {
 }
 
 func TestFlipBitStaysInAllocation(t *testing.T) {
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	a, _ := g.Alloc(8)
 	before := g.ReadWords(a, 2)
 	g.FlipBit(0)
@@ -110,7 +150,7 @@ func TestFlipBitStaysInAllocation(t *testing.T) {
 
 func TestFlipBitRoundTrips(t *testing.T) {
 	f := func(bit uint16) bool {
-		g := NewGlobal(1 << 16)
+		g := NewGlobal()
 		a, _ := g.Alloc(256)
 		g.FlipBit(uint64(bit) % 2048)
 		g.FlipBit(uint64(bit) % 2048)
@@ -128,7 +168,7 @@ func TestFlipBitRoundTrips(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	g := NewGlobal(1 << 16)
+	g := NewGlobal()
 	a, _ := g.Alloc(16)
 	g.SetWord(a, 7)
 	g.Reset()
@@ -142,9 +182,13 @@ func TestReset(t *testing.T) {
 }
 
 func TestOutOfMemory(t *testing.T) {
-	g := NewGlobal(1024)
-	if _, err := g.Alloc(1 << 20); err == nil {
-		t.Fatal("huge allocation should fail")
+	g := NewGlobal()
+	if _, err := g.Alloc(1 << 32); err == nil {
+		t.Fatal("allocation past the 32-bit address space should fail")
+	}
+	if g.AllocatedBytes() != 0 || g.CapacityBytes() != nullGuard {
+		t.Fatalf("failed allocation left %d allocated, %d bytes of storage",
+			g.AllocatedBytes(), g.CapacityBytes())
 	}
 	if _, err := g.Alloc(0); err == nil {
 		t.Fatal("zero-size allocation should fail")

@@ -12,12 +12,14 @@ import "sync"
 // Snapshot is a frozen copy of the allocated region of a Global. It is
 // safe for concurrent use once created.
 type Snapshot struct {
-	words    []uint32 // copy of the allocated words (including the null guard)
-	hwm      uint32   // allocation high-water mark at capture time, bytes
-	capacity int      // capacity of the source Global, bytes
+	words []uint32 // copy of the allocated words (including the null guard)
+	hwm   uint32   // allocation high-water mark at capture time, bytes
 }
 
-// CapacityBytes returns the total capacity of the Global in bytes.
+// CapacityBytes returns the bytes of storage the Global holds, null
+// guard included. Alloc grows the storage to the high-water mark, so
+// for a Global built by allocation this equals the allocated region; a
+// Global rewound by Restore to a smaller snapshot keeps its storage.
 func (g *Global) CapacityBytes() int { return len(g.words) * 4 }
 
 // SizeBytes returns the snapshot's retained memory, the term a cache
@@ -37,20 +39,18 @@ func (s *Snapshot) AllocatedBytes() int { return int(s.hwm) }
 // indices line up) and the allocator state.
 func (g *Global) Snapshot() *Snapshot {
 	n := int(g.hwm) / 4
-	s := &Snapshot{
-		words:    make([]uint32, n),
-		hwm:      g.hwm,
-		capacity: g.CapacityBytes(),
-	}
+	s := &Snapshot{words: make([]uint32, n), hwm: g.hwm}
 	copy(s.words, g.words[:n])
 	return s
 }
 
-// Restore rewinds the Global to the snapshot's state. The Global must
-// have at least the snapshot's allocated capacity; words beyond the
-// restored high-water mark are untouched (kernel stores are bounds-
-// checked against hwm, so they are never dirtied by a simulation).
+// Restore rewinds the Global to the snapshot's state. A Global with
+// less storage than the snapshot grows to exactly the snapshot's words;
+// one with more keeps its storage, and words beyond the restored
+// high-water mark are zero (kernel stores are bounds-checked against
+// hwm, so they are never dirtied by a simulation).
 func (g *Global) Restore(s *Snapshot) {
+	g.grow(len(s.words))
 	copy(g.words[:len(s.words)], s.words)
 	if g.hwm > s.hwm {
 		// Shrinking restore: re-zero the region the previous state had
@@ -92,17 +92,22 @@ func (g *Global) EqualSnapshot(s *Snapshot) bool {
 }
 
 // Pool recycles Global instances of one capacity so that per-fault
-// setup does not allocate (and zero) the whole device memory. Pooled
-// instances keep the invariant that words above hwm are zero.
+// setup does not allocate (and zero) a device memory. A runner sizes its
+// pool to its snapshots (every launch-boundary snapshot of one workload
+// has the same high-water mark), so each pooled Global holds exactly
+// the words a Restore copies, and one dropped by the GC costs only that
+// much to rebuild. Pooled instances keep the invariant that words above
+// hwm are zero.
 type Pool struct {
 	capacity int
 	p        sync.Pool
 }
 
-// NewPool creates a pool of Globals with the given capacity in bytes.
+// NewPool creates a pool of Globals whose storage spans capacity bytes
+// (rounded down to a word multiple, and never less than the null guard).
 func NewPool(capacity int) *Pool {
 	pl := &Pool{capacity: capacity}
-	pl.p.New = func() any { return NewGlobal(pl.capacity) }
+	pl.p.New = func() any { return newGlobalWords(pl.capacity) }
 	return pl
 }
 

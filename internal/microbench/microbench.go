@@ -127,7 +127,7 @@ func buildArith(dev *device.Device, opt asm.OptLevel, op isa.Op) (*kernels.Insta
 		et = isa.F32
 	}
 	e := kernels.ElemFor(et)
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	n := arithBlocks * arithThreads
 	es := int(e.Size())
 	xBase, err := g.Alloc(n * es)

@@ -30,7 +30,7 @@ const (
 
 func buildLDST(dev *device.Device, opt asm.OptLevel) (*kernels.Instance, error) {
 	n := ldstBlocks * ldstThreads * ldstMoves
-	g := mem.NewGlobal(1 << 23)
+	g := mem.NewGlobal()
 	srcBase, err := g.Alloc(n * 4)
 	if err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ const (
 )
 
 func buildRF(dev *device.Device, opt asm.OptLevel) (*kernels.Instance, error) {
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	blocks := dev.NumSMs
 	threads := 32
 	outBase, err := g.Alloc(blocks * threads * 4)
@@ -182,7 +182,7 @@ func buildMMAMicro(dev *device.Device, opt asm.OptLevel, half bool) (*kernels.In
 	if !dev.HasTensor {
 		return nil, fmt.Errorf("microbench: %s has no tensor cores", dev.Name)
 	}
-	g := mem.NewGlobal(1 << 22)
+	g := mem.NewGlobal()
 	fragRegs := 4
 	if !half {
 		fragRegs = 8

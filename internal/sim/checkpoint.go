@@ -18,6 +18,8 @@
 package sim
 
 import (
+	"unsafe"
+
 	"gpurel/internal/isa"
 	"gpurel/internal/mem"
 )
@@ -106,12 +108,47 @@ func (img *LaunchImage) FilteredOps(filter func(op isa.Op) bool) uint64 {
 	return n
 }
 
-// FootprintBytes approximates the image's retained memory: the global
-// snapshot dominates, and the frozen block/SM state rides within the
-// same 64 KiB allowance the Runner's recording budget charges per image
-// (kernels.NewRunner divides its budget by snapshot size + 64 KiB).
+// FootprintBytes returns the image's retained memory: the global
+// snapshot plus the frozen block and SM state — each resident block's
+// registers, predicates and shared memory, each warp's divergence stack
+// and scoreboard, and each SM's scheduler lists, with the records that
+// hold them. A micro-benchmark that fills every SM holds far more in
+// registers than in memory, so the block state is counted, not
+// estimated.
 func (img *LaunchImage) FootprintBytes() int {
-	return img.Mem.SizeBytes() + 64*1024
+	const (
+		block = int(unsafe.Sizeof(blockImage{}))
+		warp  = int(unsafe.Sizeof(warpImage{}))
+		sm    = int(unsafe.Sizeof(smImage{}))
+		entry = int(unsafe.Sizeof(simtEntry{}))
+		ready = int(unsafe.Sizeof(int64(0)))
+		ref   = int(unsafe.Sizeof(warpRef{}))
+		pick  = int(unsafe.Sizeof(int(0)))
+	)
+	total := img.Mem.SizeBytes() + block*len(img.blocks) + sm*len(img.sms)
+	for i := range img.blocks {
+		b := &img.blocks[i]
+		total += 4*len(b.regs) + len(b.preds) + 4*len(b.shared) + warp*len(b.warps)
+		for j := range b.warps {
+			total += entry*len(b.warps[j].stack) + ready*len(b.warps[j].regReady)
+		}
+	}
+	for i := range img.sms {
+		total += pick*len(img.sms[i].lastPick) + ref*len(img.sms[i].warps)
+	}
+	return total
+}
+
+// RegisterBytes returns the bytes of general-purpose register state the
+// image froze: every resident block's threads × registers, 4 bytes
+// each. It is the largest share of a busy image's block state and a
+// lower bound on what FootprintBytes charges beyond the snapshot.
+func (img *LaunchImage) RegisterBytes() int {
+	n := 0
+	for i := range img.blocks {
+		n += 4 * img.blocks[i].threads * img.blocks[i].nregs
+	}
+	return n
 }
 
 // PickImage returns the latest image whose trigger clock had not yet

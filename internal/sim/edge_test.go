@@ -15,7 +15,7 @@ import (
 // and the unsupported-unit guard.
 
 func TestExplicitSyncJumpsToReconvergence(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 4)
 	b := asm.New("sync", asm.O1)
 	gr := b.R()
@@ -56,7 +56,7 @@ func TestExplicitSyncJumpsToReconvergence(t *testing.T) {
 }
 
 func TestSyncOutsideDivergenceIsDUE(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	// The assembler's verify gate rejects an uncovered SYNC at build
 	// time, so hand-assemble the malformed program: the engine's own
 	// runtime fault path must still catch it.
@@ -72,7 +72,7 @@ func TestSyncOutsideDivergenceIsDUE(t *testing.T) {
 }
 
 func TestBarrierInDivergentRegionIsDUE(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	b := asm.New("badbar", asm.O1)
 	gr := b.R()
 	b.S2R(gr, isa.SrTidX)
@@ -93,7 +93,7 @@ func TestBarrierInDivergentRegionIsDUE(t *testing.T) {
 }
 
 func TestUnsupportedUnitRejectedAtLaunch(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	b := asm.New("mma_on_kepler", asm.O1)
 	aF := b.RVec(4, 4)
 	bF := b.RVec(4, 4)
@@ -110,7 +110,7 @@ func TestUnsupportedUnitRejectedAtLaunch(t *testing.T) {
 }
 
 func TestFaultRegIndexMisroutesResult(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 4)
 	build := func() *isa.Program {
 		b := asm.New("ioa", asm.O1)
@@ -157,7 +157,7 @@ func TestFaultRegIndexMisroutesResult(t *testing.T) {
 }
 
 func TestFaultSharedBit(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 4)
 	build := func() *isa.Program {
 		b := asm.New("shbit", asm.O1)
@@ -204,7 +204,7 @@ func TestFaultSharedBit(t *testing.T) {
 }
 
 func TestFaultGlobalBitPersistsAcrossLaunch(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	base, _ := g.Alloc(64)
 	g.SetWord(base, 0xff)
 	b := asm.New("noop", asm.O1)
@@ -228,7 +228,7 @@ func TestFaultGlobalBitPersistsAcrossLaunch(t *testing.T) {
 }
 
 func TestAddrFaultHighWordAlwaysFaults(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	a, _ := g.Alloc(64 * 4)
 	b := asm.New("hibit", asm.O1)
 	gr := b.R()
@@ -258,7 +258,7 @@ func TestAddrFaultHighWordAlwaysFaults(t *testing.T) {
 func TestDeterministicUnderFaultPlans(t *testing.T) {
 	// The same plan gives bit-identical outcomes on repeat runs.
 	for trial := 0; trial < 2; trial++ {
-		g := mem.NewGlobal(1 << 16)
+		g := mem.NewGlobal()
 		oBase, _ := g.Alloc(64 * 4)
 		b := asm.New("det", asm.O1)
 		gr := b.R()
@@ -290,7 +290,7 @@ func TestDeterministicUnderFaultPlans(t *testing.T) {
 }
 
 func TestTraceEmitsIssuedInstructions(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 4)
 	b := asm.New("traced", asm.O1)
 	gr := b.R()

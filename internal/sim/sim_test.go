@@ -52,7 +52,7 @@ func buildVecAdd(t *testing.T, aBase, bBase, outBase uint32) *isa.Program {
 }
 
 func TestVecAddMultiBlock(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	const n = 256
 	aBase, _ := g.Alloc(n * 4)
 	bBase, _ := g.Alloc(n * 4)
@@ -81,7 +81,7 @@ func TestVecAddMultiBlock(t *testing.T) {
 }
 
 func TestDivergentIfElse(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	const n = 64
 	oBase, _ := g.Alloc(n * 4)
 
@@ -117,7 +117,7 @@ func TestDivergentIfElse(t *testing.T) {
 
 func TestIntraWarpDivergence(t *testing.T) {
 	// Odd/even lanes diverge inside a single warp.
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 4)
 	b := asm.New("intra", asm.O1)
 	gr := gid(b)
@@ -155,7 +155,7 @@ func TestIntraWarpDivergence(t *testing.T) {
 }
 
 func TestNestedDivergence(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 4)
 	b := asm.New("nested", asm.O1)
 	gr := gid(b)
@@ -198,7 +198,7 @@ func TestNestedDivergence(t *testing.T) {
 
 func TestDivergentLoopTripCounts(t *testing.T) {
 	// Each lane iterates gid+1 times: divergent backward branch.
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(64 * 4)
 	b := asm.New("divloop", asm.O1)
 	gr := gid(b)
@@ -234,7 +234,7 @@ func TestDivergentLoopTripCounts(t *testing.T) {
 
 func TestBarrierSharedReduction(t *testing.T) {
 	// Block-wide tree reduction in shared memory.
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(4 * 4) // one word per block
 	const threads = 64
 	b := asm.New("reduce", asm.O1)
@@ -293,7 +293,7 @@ func TestBarrierSharedReduction(t *testing.T) {
 }
 
 func TestPartialWarp(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(40 * 4)
 	b := asm.New("partial", asm.O1)
 	gr := gid(b)
@@ -316,7 +316,7 @@ func TestPartialWarp(t *testing.T) {
 }
 
 func TestFP64Arithmetic(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 8)
 	b := asm.New("f64", asm.O1)
 	gr := gid(b)
@@ -351,7 +351,7 @@ func TestFP64Arithmetic(t *testing.T) {
 }
 
 func TestFP16Arithmetic(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 4)
 	b := asm.New("f16", asm.O1)
 	gr := gid(b)
@@ -384,7 +384,7 @@ func TestFP16Arithmetic(t *testing.T) {
 }
 
 func TestAtomicRED(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(8)
 	b := asm.New("atomic", asm.O1)
 	one := b.R()
@@ -407,7 +407,7 @@ func TestAtomicRED(t *testing.T) {
 }
 
 func TestWatchdogHangIsDUE(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	b := asm.New("hang", asm.O1)
 	b.Label("forever")
 	b.Nop()
@@ -424,7 +424,7 @@ func TestWatchdogHangIsDUE(t *testing.T) {
 }
 
 func TestInvalidAccessIsDUE(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	b := asm.New("oob", asm.O1)
 	addr := b.R()
 	v := b.R()
@@ -443,7 +443,7 @@ func TestInvalidAccessIsDUE(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (*Result, []uint32) {
-		g := mem.NewGlobal(1 << 20)
+		g := mem.NewGlobal()
 		a, _ := g.Alloc(128 * 4)
 		bb, _ := g.Alloc(128 * 4)
 		o, _ := g.Alloc(128 * 4)
@@ -471,7 +471,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestProfileMetrics(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	a, _ := g.Alloc(256 * 4)
 	bb, _ := g.Alloc(256 * 4)
 	o, _ := g.Alloc(256 * 4)
@@ -508,7 +508,7 @@ func TestProfileMetrics(t *testing.T) {
 
 func TestMoreParallelWorkRaisesOccupancy(t *testing.T) {
 	run := func(blocks int) float64 {
-		g := mem.NewGlobal(1 << 22)
+		g := mem.NewGlobal()
 		n := blocks * 64
 		a, _ := g.Alloc(n * 4)
 		bb, _ := g.Alloc(n * 4)
@@ -530,7 +530,7 @@ func TestMoreParallelWorkRaisesOccupancy(t *testing.T) {
 func TestMMAMatchesSoftware(t *testing.T) {
 	// One warp loads A, B (f16) and C (f32) fragments from global memory,
 	// performs HMMA, and stores D. Compare against a software reference.
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	aBase, _ := g.Alloc(256 * 2) // 256 halves
 	bBase, _ := g.Alloc(256 * 2)
 	cBase, _ := g.Alloc(256 * 4)
@@ -617,7 +617,7 @@ func TestMMAMatchesSoftware(t *testing.T) {
 
 func TestFaultValueBitCorruptsOutput(t *testing.T) {
 	golden := func(fault *FaultPlan) (Outcome, []uint32) {
-		g := mem.NewGlobal(1 << 20)
+		g := mem.NewGlobal()
 		a, _ := g.Alloc(64 * 4)
 		bb, _ := g.Alloc(64 * 4)
 		o, _ := g.Alloc(64 * 4)
@@ -658,7 +658,7 @@ func TestFaultValueBitCorruptsOutput(t *testing.T) {
 }
 
 func TestFaultBeyondStreamIsMasked(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	a, _ := g.Alloc(64 * 4)
 	bb, _ := g.Alloc(64 * 4)
 	o, _ := g.Alloc(64 * 4)
@@ -674,7 +674,7 @@ func TestFaultBeyondStreamIsMasked(t *testing.T) {
 }
 
 func TestFaultAddrBitHighBitIsDUE(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	a, _ := g.Alloc(64 * 4)
 	bb, _ := g.Alloc(64 * 4)
 	o, _ := g.Alloc(64 * 4)
@@ -695,7 +695,7 @@ func TestFaultAddrBitHighBitIsDUE(t *testing.T) {
 }
 
 func TestFaultSkipChangesOutput(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	a, _ := g.Alloc(64 * 4)
 	bb, _ := g.Alloc(64 * 4)
 	o, _ := g.Alloc(64 * 4)
@@ -726,7 +726,7 @@ func TestFaultSkipChangesOutput(t *testing.T) {
 }
 
 func TestFaultRFBit(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	a, _ := g.Alloc(64 * 4)
 	bb, _ := g.Alloc(64 * 4)
 	o, _ := g.Alloc(64 * 4)
@@ -751,7 +751,7 @@ func TestFaultRFBit(t *testing.T) {
 
 func TestPredFault(t *testing.T) {
 	// Flipping the SETP result of one lane sends it down the wrong path.
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	oBase, _ := g.Alloc(32 * 4)
 	build := func() *isa.Program {
 		b := asm.New("pred", asm.O1)
@@ -787,7 +787,7 @@ func TestPredFault(t *testing.T) {
 }
 
 func TestLaunchValidation(t *testing.T) {
-	g := mem.NewGlobal(1 << 16)
+	g := mem.NewGlobal()
 	prog := buildVecAdd(t, 256, 512, 768)
 	if _, err := Run(Config{Device: device.K40c(), Program: prog, GridX: 0, GridY: 1, BlockThreads: 32}, g); err == nil {
 		t.Error("zero grid must fail")

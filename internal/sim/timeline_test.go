@@ -15,7 +15,7 @@ import (
 // profile.
 func runSampled(t *testing.T, prog *isa.Program, grid, block int) Profile {
 	t.Helper()
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	res, err := Run(Config{
 		Device: device.K40c(), Program: prog,
 		GridX: grid, GridY: 1, BlockThreads: block,
@@ -128,7 +128,7 @@ func TestTimelineFoldsKeepTotals(t *testing.T) {
 // SampleTimeline, no buckets — but the aggregate residency counters are
 // still recorded.
 func TestTimelineAbsentWithoutSampling(t *testing.T) {
-	g := mem.NewGlobal(1 << 20)
+	g := mem.NewGlobal()
 	res, err := Run(Config{
 		Device: device.K40c(), Program: buildSpin(t, 50),
 		GridX: 1, GridY: 1, BlockThreads: 32,

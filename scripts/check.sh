@@ -11,9 +11,9 @@
 #                               boot smoke, then one perfbench run of the serve
 #                               workload; fails unless it is correct with no
 #                               failed operations
-#   scripts/check.sh perf       static-analysis speed smoke: one perfbench run of
-#                               the static workload; fails unless it is correct
-#                               with no failed operations
+#   scripts/check.sh perf       perfbench smoke: one run of the static workload,
+#                               then one of the study workload; fails unless
+#                               each is correct with no failed operations
 #
 # The static-vs-injection agreement gates (AVF, DUE modes, two-level
 # estimator, optimization-matrix ordering) have no tier of their own:
@@ -131,14 +131,19 @@ if [ "${1:-}" = "artifacts" ]; then
 fi
 
 if [ "$tier" = "perf" ]; then
-    # Static-analysis speed smoke: the perfbench static workload, every
+    # Perfbench smoke, two stages. First the static workload, every
     # injection-free estimator and the lint over all 58 suite runners.
     # With each launch analyzed once per runner and the backward
     # fixpoints re-evaluating only stale definitions it takes a few
     # seconds; a run far slower than that points at the analysis memo
     # (kernels.Runner.LaunchAnalysis) or at the fixpoint's stale set
-    # (internal/analysis/stale.go).
+    # (internal/analysis/stale.go). Then the study workload, a scaled
+    # two-device core.Run plus every artifact and SaveJSON (about 20 s
+    # on 2 cores): its study JSON must round-trip byte for byte. Neither
+    # stage has a timing or memory bound; the result lines put wall_s
+    # and peak_rss_mb in the log.
     perfbench_gate static
+    perfbench_gate study
     echo "checks passed"
     exit 0
 fi
